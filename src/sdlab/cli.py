@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--semigroups", type=int, default=6, help="number of random semigroups")
     pv.add_argument("--member-max", type=int, default=12, help="largest Apery modulus on random semigroups")
     pv.add_argument("--d-max", type=int, default=8, help="largest quotient divisor")
-    pv.add_argument("--identity", action="append", default=[], metavar="ID", help="restrict to ids with this prefix")
+    pv.add_argument("--identity", action="append", default=[], metavar="ID", help="restrict to ids with this prefix (no match is an error)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
@@ -209,8 +209,8 @@ def cmd_verify(args) -> int:
         semigroups=args.semigroups,
         member_max=args.member_max,
         d_max=args.d_max,
-        # --pairs-max bounds every pair sweep; the checker-specific ceilings
-        # (12 for composition enumeration, 40 for the linear form) still apply
+        # --pairs-max bounds every pair sweep; prop2's ceilings (b <= 12 for
+        # the cyclic powers n = 2, 3, b <= 40 for n = 1) still apply
         prop2_pairs_max=min(12, args.pairs_max),
         prop2_m1_pairs_max=min(40, args.pairs_max),
         identities=tuple(args.identity),

@@ -27,6 +27,10 @@ class TooLarge(SdlabError):
     """Raised when a checker refuses parameters outside its supported range."""
 
 
+class UnknownIdentity(SdlabError):
+    """Raised when an identity filter matches no id of the catalog."""
+
+
 class IndexOutOfRange(SdlabError):
     """Raised when a residue-class index is outside [0, modulus)."""
 

@@ -11,7 +11,7 @@ Identity ids form the catalog used by reports and the CLI filter:
 
     eq1           Hilbert-series closed form for two coprime generators
     eq6           gap polynomial reassembled from Apery geometric blocks
-    prop1.eq2-5   Apery floor data extracted from the gap polynomial
+    prop1.eq2..5  Apery floor data extracted from the gap polynomial
     prop2         Voronoi sums from gap-polynomial values and Mirimanoff /
                   Apostol-Bernoulli polynomials at roots of unity
     prop3         Dedekind-Carlitz polynomial c(q^b, t) from gap polynomials
@@ -34,7 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .dedekind import (
     apostol_bernoulli,
@@ -46,7 +46,7 @@ from .dedekind import (
     rt_poly,
     voronoi_sum,
 )
-from .errors import IndexOutOfRange, NotAMember, TooLarge, require_coprime
+from .errors import IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity, require_coprime
 from .polyring import (
     BiLaurent,
     LaurentPoly,
@@ -70,6 +70,12 @@ Q_SAMPLES = (0.31, 0.57, 0.83)
 # moduli up to a few dozen
 PROP1_Q_SAMPLES = (0.9, 0.94, 0.97)
 QT_SAMPLE = (0.37, 0.59)
+
+# the ids run_suite reports under; an identities filter must be a prefix of one
+IDENTITY_IDS = (
+    "eq1", "eq6", "prop1.eq2", "prop1.eq3", "prop1.eq4", "prop1.eq5", "prop2", "prop3", "prop4.R11",
+    "prop4.T11", "prop5", "gapvalues", "prop6.eq7", "prop7", "cor510", "sawtoothpoly",
+)
 
 
 @dataclass
@@ -249,13 +255,21 @@ def check_prop1_ab(a: int, b: int, k: int, mode: str = "exact", eq: int | None =
 # -- section 3: Voronoi sums ------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _prop2_rhs(a: int, b: int, m: int, n: int) -> tuple[complex, complex]:
+    """The two right-hand sides of check_prop2, (Mirimanoff form, Apostol-Bernoulli form)."""
+    roots = roots_of_unity(b)
+    Cj = _gap_root_values(torus_semigroup(a, b), b)
+    P = Cj
+    for _ in range(n - 1):
+        P = [sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b)]
+
+    def ab_diff(lam):
+        val = apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)
+        return complex(val) / (m + 1)
+
+    rhs_mir = sum(P[r] * mirimanoff(roots[(-a * r) % b], m, b) for r in range(b)) / b**n
+    rhs_ab = sum(P[r] * ab_diff(roots[(-a * r) % b]) for r in range(b)) / b**n
+    return rhs_mir, rhs_ab
 
 
 def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> IdentityReport:
@@ -267,8 +281,13 @@ def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> Identity
     W = sum j*i_j, and with the same expression with M replaced by the
     Apostol-Bernoulli difference (B_{m+1}(b, lam) - B_{m+1}(0, lam))/(m+1).
 
-    n = 1 needs no composition enumeration and is allowed up to b = 40 at a
-    tighter tolerance; n in [2, 3] requires b <= 12.
+    The kernel depends on W only mod b, so the composition sum is the cyclic
+    power P = (sum_j C(eps^j) x^j)^n mod (x^b - 1), built with n - 1 cyclic
+    convolutions, followed by sum_r P[r] K(eps^{-ar}): b kernel evaluations
+    per form.  n = 1 is the same formula with P = C.
+
+    n = 1 is allowed up to b = 40 at a tighter tolerance; n in [2, 3]
+    requires b <= 12.
     """
     started = time.perf_counter()
     require_coprime(a, b)
@@ -286,34 +305,7 @@ def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> Identity
         raise TooLarge(f"b={b} > 12 for n={n}")
 
     v = voronoi_sum(a, b, m, n)
-    roots = roots_of_unity(b)
-    Cj = _gap_root_values(torus_semigroup(a, b), b)
-
-    def ab_diff(lam):
-        val = apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)
-        return complex(val) / (m + 1)
-
-    if n == 1:
-        rhs_mir = sum(Cj[j] * mirimanoff(roots[(-a * j) % b], m, b) for j in range(b)) / b
-        rhs_ab = sum(Cj[j] * ab_diff(roots[(-a * j) % b]) for j in range(b)) / b
-    else:
-        total_mir = 0j
-        total_ab = 0j
-        for comp in _compositions(n, b):
-            coef = factorial(n)
-            prod = 1 + 0j
-            w = 0
-            for j, i in enumerate(comp):
-                if i:
-                    coef //= factorial(i)
-                    prod *= Cj[j] ** i
-                    w += j * i
-            lam = roots[(-a * w) % b]
-            total_mir += coef * prod * mirimanoff(lam, m, b)
-            total_ab += coef * prod * ab_diff(lam)
-        rhs_mir = total_mir / b**n
-        rhs_ab = total_ab / b**n
-
+    rhs_mir, rhs_ab = _prop2_rhs(a, b, m, n)
     residual = max(abs(v - rhs_mir), abs(v - rhs_ab))
     tol = (FLOAT_TOL if n == 1 else PROP2_TOL) * (1 + abs(v))
     return _finish("prop2", {"a": a, "b": b, "m": m, "n": n}, "float", residual, residual <= tol, started)
@@ -578,8 +570,12 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0, threads: int =
     Deterministic for a fixed seed: the random-semigroup population comes from
     a seeded PRNG, every float check evaluates at fixed sample points, and the
     returned reports are sorted canonically (id, then params) regardless of
-    execution order or thread count.
+    execution order or thread count.  A filter in ranges.identities that is a
+    prefix of no id in IDENTITY_IDS raises UnknownIdentity.
     """
+    for f in ranges.identities:
+        if not any(i.startswith(f) for i in IDENTITY_IDS):
+            raise UnknownIdentity(f"no identity id starts with {f!r}; ids: {', '.join(IDENTITY_IDS)}")
     if ranges.pairs_max <= 0:
         return []
 
@@ -611,7 +607,7 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0, threads: int =
         if want("sawtoothpoly"):
             jobs.append(lambda a=a, b=b: check_sawtooth_poly(a, b))
     if want("prop2"):
-        # clamp to the checker ceilings (b <= 40 linear, b <= 12 / n <= 3 composition)
+        # clamp to the checker ceilings (b <= 40 for n = 1, b <= 12 and n <= 3 otherwise)
         for a, b in coprime_pairs(min(ranges.prop2_m1_pairs_max, 40)):
             jobs.extend(lambda a=a, b=b, m=m: check_prop2(a, b, m, 1) for m in range(1, ranges.prop2_m_max + 1))
         for a, b in coprime_pairs(min(ranges.prop2_pairs_max, 12)):

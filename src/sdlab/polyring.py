@@ -158,16 +158,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k (k may be negative)."""
@@ -246,6 +237,20 @@ def _dense(terms: dict, lo: int, hi: int) -> list:
     for e, c in terms.items():
         out[e - lo] = Fraction(c)
     return out
+
+
+def _power(p, n: int, one):
+    """p**n by binary powering; squares only while bits of n remain."""
+    if n < 0:
+        raise ValueError("negative powers are not defined for polynomials")
+    result = one
+    while n:
+        if n & 1:
+            result = result * p
+        n >>= 1
+        if n:
+            p = p * p
+    return result
 
 
 def _raw(terms: dict) -> LaurentPoly:
@@ -427,16 +432,7 @@ class BiLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = BI_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BI_ONE)
 
     def shift(self, dq: int, dt: int) -> "BiLaurent":
         """Multiply by q^dq * t^dt."""

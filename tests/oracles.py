@@ -7,6 +7,7 @@ literally in complex arithmetic.
 
 import cmath
 from fractions import Fraction
+from math import factorial
 
 
 def pair_members(a: int, b: int, bound: int) -> set:
@@ -84,3 +85,37 @@ def dedekind_quotient_form(a: int, b: int) -> float:
         ea = cmath.exp(-2j * cmath.pi * a * k / b)
         total += (1 + e1) / (1 - e1) * (1 + ea) / (1 - ea)
     return (total / (4 * b)).real
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def prop2_composition_sums(a: int, b: int, n: int, kernels) -> list:
+    """(1/b^n) * sum over compositions (i_0..i_{b-1}) of n of the multinomial
+    coefficient times prod_j C(eps^j)^{i_j} times K(eps^{-aW}), W = sum j*i_j,
+    for each kernel K.  C(eps^j) is summed literally over the gaps of <a, b>;
+    eps^{-aW} is formed as the library forms its roots of unity, so a kernel
+    sees bit-identical arguments on both routes.
+    """
+    gaps = pair_gaps(a, b)
+    cj = [sum((cmath.exp(2j * cmath.pi * j * g / b) for g in gaps), 0j) for j in range(b)]
+    totals = [0j] * len(kernels)
+    for comp in _compositions(n, b):
+        coef = factorial(n)
+        prod = 1 + 0j
+        w = 0
+        for j, i in enumerate(comp):
+            if i:
+                coef //= factorial(i)
+                prod *= cj[j] ** i
+                w += j * i
+        lam = cmath.exp(2j * cmath.pi * ((-a * w) % b) / b)
+        for t, kernel in enumerate(kernels):
+            totals[t] += coef * prod * kernel(lam)
+    return [total / b**n for total in totals]

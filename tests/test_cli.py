@@ -137,6 +137,21 @@ class TestVerifyCommand:
         objs = json.loads(out)
         assert objs and all(o["id"] == "prop6.eq7" for o in objs)
 
+    def test_identity_prefix(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--pairs-max", "6", "--semigroups", "1", "--member-max", "15",
+                               "--seed", "0", "--identity", "prop1")
+        assert code == 0
+        ids = {o["id"] for o in json.loads(out)}
+        assert ids == {"prop1.eq2", "prop1.eq3", "prop1.eq4", "prop1.eq5"}
+
+    def test_unknown_identity_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--identity", "nonsense")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "nonsense" in err
+        assert "Traceback" not in err
+
     def test_expected_discrepancy_does_not_fail_run(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--pairs-max", "6", "--semigroups", "0",
                                "--identity", "prop4")

@@ -4,9 +4,12 @@ from math import gcd
 
 import pytest
 
-from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge
+from sdlab.dedekind import apostol_bernoulli, mirimanoff
+from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
 from sdlab.identities import (
+    IDENTITY_IDS,
     SuiteRanges,
+    _prop2_rhs,
     check_cor510,
     check_eq1,
     check_eq6,
@@ -28,6 +31,8 @@ from sdlab.identities import (
     summarize,
 )
 from sdlab.semigroup import semigroup_from_generators, torus_semigroup
+
+from oracles import prop2_composition_sums
 
 
 class TestEq1:
@@ -138,6 +143,18 @@ class TestProp2:
             check_prop2(2, 5, 0, 1)
         with pytest.raises(GcdNotOne):
             check_prop2(3, 9, 1, 1)
+
+    def test_cyclic_power_matches_composition_sum(self):
+        for a, b in coprime_pairs(8, amin=1):
+            for m in range(1, 5):
+                kernels = (
+                    lambda lam: mirimanoff(lam, m, b),
+                    lambda lam: complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1),
+                )
+                for n in range(1, 4):
+                    want = prop2_composition_sums(a, b, n, kernels)
+                    for got, exp in zip(_prop2_rhs(a, b, m, n), want):
+                        assert abs(got - exp) <= 1e-12 * abs(exp), (a, b, m, n)
 
     def test_large_b_linear_case(self):
         from sdlab.dedekind import voronoi_sum
@@ -288,6 +305,19 @@ class TestSuite:
     def test_identity_filter(self):
         reports = run_suite(SuiteRanges(pairs_max=8, semigroups=0, identities=("prop6",)), seed=0)
         assert reports and all(r.identity_id == "prop6.eq7" for r in reports)
+
+    def test_catalog_ids_are_the_reported_ids(self):
+        # seed 0 draws <15, 26, 30> first, so member_max 15 reaches prop1.eq2/eq3
+        reports = run_suite(SuiteRanges(pairs_max=5, semigroups=1, member_max=15, d_max=2,
+                                        prop2_pairs_max=4, prop2_m1_pairs_max=5), seed=0)
+        assert sorted({r.identity_id for r in reports}) == sorted(IDENTITY_IDS)
+
+    def test_unknown_identity_refused(self):
+        for bad in ("nonsense", "prop1.eq2-3", "prop4.R11x"):
+            with pytest.raises(UnknownIdentity):
+                run_suite(SuiteRanges(pairs_max=8, semigroups=0, identities=("prop6", bad)), seed=0)
+        with pytest.raises(UnknownIdentity):
+            run_suite(SuiteRanges(pairs_max=0, identities=("nonsense",)), seed=0)
 
     def test_seed_changes_population(self):
         ranges = SuiteRanges(pairs_max=0)

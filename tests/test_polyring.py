@@ -68,6 +68,22 @@ class TestArithmetic:
         assert f**0 == ONE
         assert f**3 == f * f * f
 
+    def test_pow_is_repeated_product(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            f = random_poly(rng, max_terms=5)
+            g = BiLaurent({(rng.randint(-3, 3), rng.randint(-3, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(rng.randint(0, 5))})
+            fk, gk = ONE, BiLaurent({(0, 0): 1})
+            for k in range(6):
+                assert f**k == fk
+                assert g**k == gk
+                fk, gk = fk * f, gk * g
+        with pytest.raises(ValueError):
+            monomial(1) ** -1
+        with pytest.raises(ValueError):
+            bi_monomial(1, 0) ** -1
+
     def test_operations_do_not_mutate(self):
         f = LaurentPoly({1: 1})
         g = LaurentPoly({1: -1})
@@ -229,6 +245,38 @@ class TestDivision:
             if g.is_zero():
                 continue
             assert (f * g).divexact(g) == f
+
+    def test_random_sparse_roundtrip(self):
+        # few terms spread over a wide span, negative exponents, divisors
+        # with unit and non-unit leading coefficients, Fraction coefficients
+        rng = random.Random(9)
+        for _ in range(200):
+            f = random_poly(rng, max_terms=6, lo=-40, hi=60, cmax=5)
+            g = random_poly(rng, max_terms=4, lo=-30, hi=30, cmax=3)
+            if g.is_zero():
+                continue
+            if rng.random() < 0.5:
+                g = g + monomial(g.degree() + rng.randint(1, 20), rng.choice((1, -1)))
+            assert (f * g).divexact(g) == f
+
+    def test_random_remainder_raises(self):
+        rng = random.Random(10)
+        checked = 0
+        for _ in range(200):
+            f = random_poly(rng, max_terms=6, lo=-20, hi=30)
+            g = random_poly(rng, max_terms=4, lo=-10, hi=10)
+            r = random_poly(rng, max_terms=3, lo=-10, hi=10)
+            if f.is_zero() or len(g) < 2 or r.is_zero():
+                continue
+            if r.degree() - r.valuation() >= g.degree() - g.valuation():
+                continue
+            # a nonzero r spanning less than g, placed at the valuation of f*g,
+            # is the remainder the division ends with
+            r = r.shift((f * g).valuation() - r.valuation())
+            with pytest.raises(InexactDivision):
+                (f * g + r).divexact(g)
+            checked += 1
+        assert checked > 20
 
 
 class TestSerialization:
