@@ -12,9 +12,9 @@ Run: python demos/semigroups_and_alexander.py
 
 from sdlab import (
     ONE,
+    NumericalSemigroup,
     alexander_closed_form,
     monomial,
-    semigroup_from_generators,
     torus_gaps_mordell,
     torus_semigroup,
 )
@@ -65,7 +65,7 @@ for d in (1, 2, 7):
     )
 
 show("A three-generator example")
-T = semigroup_from_generators([4, 7, 9])
+T = NumericalSemigroup.from_generators([4, 7, 9])
 print(f"<4, 7, 9>: gaps {list(T.gaps)}, frobenius {T.frobenius}, genus {T.genus}")
 print(f"Ap_4 = {list(T.apery(4))}")
 print(f"gap polynomial: {T.gap_poly()}")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: semigroup | dedekind | verify | table.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  SDLAB_THREADS caps --threads.
+1 verification failure, 2 usage error (also when an output file cannot be
+written).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .dedekind import (
@@ -22,7 +22,7 @@ from .dedekind import (
     zolotarev,
 )
 from .errors import SdlabError
-from .identities import SuiteRanges, reports_to_csv, reports_to_json, run_suite, summarize
+from .identities import CATALOG, SuiteRanges, reports_to_csv, reports_to_json, run_suite, summarize
 from .semigroup import NumericalSemigroup, torus_semigroup
 
 
@@ -68,17 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pd.set_defaults(func=cmd_dedekind)
 
-    pv = sub.add_parser("verify", help="run the identity verification suite")
+    catalog = "\n".join(f"  {', '.join(row.ids):<21} {row.statement}" for row in CATALOG)
+    pv = sub.add_parser("verify", help="run the identity verification suite",
+                        formatter_class=argparse.RawDescriptionHelpFormatter,
+                        epilog=f"identity ids:\n{catalog}")
     pv.add_argument("--pairs-max", type=int, default=20, help="largest b in coprime-pair sweeps (0: empty run)")
     pv.add_argument("--semigroups", type=int, default=6, help="number of random semigroups")
     pv.add_argument("--member-max", type=int, default=12, help="largest Apery modulus on random semigroups")
     pv.add_argument("--d-max", type=int, default=8, help="largest quotient divisor")
-    pv.add_argument("--identity", action="append", default=[], metavar="ID", help="restrict to ids with this prefix (no match is an error)")
+    pv.add_argument("--identity", action="append", default=[], metavar="ID",
+                    help="restrict to ids with this prefix, listed below (no match is an error)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     pv.add_argument("--timings", action="store_true", help="record wall-clock timings (breaks byte-identical output)")
-    pv.add_argument("--threads", type=int, default=1)
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="export an invariant table over coprime pairs")
@@ -193,14 +196,13 @@ def cmd_dedekind(args) -> int:
     return 0
 
 
-def _effective_threads(requested: int) -> int:
-    cap = os.environ.get("SDLAB_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
+def _write(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -209,23 +211,17 @@ def cmd_verify(args) -> int:
         semigroups=args.semigroups,
         member_max=args.member_max,
         d_max=args.d_max,
-        # --pairs-max bounds every pair sweep; prop2's ceilings (b <= 12 for
-        # the cyclic powers n = 2, 3, b <= 40 for n = 1) still apply
-        prop2_pairs_max=min(12, args.pairs_max),
-        prop2_m1_pairs_max=min(40, args.pairs_max),
+        prop2_pairs_max=args.pairs_max,
+        prop2_m1_pairs_max=args.pairs_max,
         identities=tuple(args.identity),
     )
-    reports = run_suite(ranges, seed=args.seed, threads=_effective_threads(args.threads))
+    reports = run_suite(ranges, seed=args.seed)
     text = (
         reports_to_json(reports, include_timings=args.timings)
         if args.format == "json"
         else reports_to_csv(reports, include_timings=args.timings)
     )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     counts = summarize(reports)
     if reports:
         tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -261,11 +257,7 @@ def cmd_table(args) -> int:
             f"{r['a']},{r['b']},{r['genus']},{r['frobenius']},{r['dedekind_sum']},{r['v11']}" for r in rows
         )
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -274,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SdlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SdlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,23 +7,10 @@ multisection and the comparison is exact (mode "exact", residual 0 on pass);
 otherwise both sides are evaluated in complex floating point against the
 defining sum (mode "float", absolute tolerance scaled by 1 + |LHS|).
 
-Identity ids form the catalog used by reports and the CLI filter:
-
-    eq1           Hilbert-series closed form for two coprime generators
-    eq6           gap polynomial reassembled from Apery geometric blocks
-    prop1.eq2..5  Apery floor data extracted from the gap polynomial
-    prop2         Voronoi sums from gap-polynomial values and Mirimanoff /
-                  Apostol-Bernoulli polynomials at roots of unity
-    prop3         Dedekind-Carlitz polynomial c(q^b, t) from gap polynomials
-    prop4.R11     bivariate floor-sum polynomial vs rational expression
-    prop4.T11     companion display; carries a free index and is checked as
-                  written, so its verdict is expected-discrepancy
-    prop5         generating function of floor(ak/b) from gap-class counts
-    gapvalues     closed form of the gap polynomial at roots of unity; genus at 1
-    prop6.eq7     V_{1,1} as a root-of-unity sum plus (a-1)(b-1)^2/4
-    prop7         genus of S/d: floor formula = multisection count = brute force
-    cor510        floor-sum polynomial identity in the second argument
-    sawtoothpoly  rational closed form of the sawtooth generating polynomial
+The catalog itself is CATALOG, next to run_suite: one row per checker with
+the report ids it emits, the statement checked and the checks run_suite
+makes of it.  IDENTITY_IDS and the id list of `sdlab verify --help` are
+computed from it, and a test holds the README table to it.
 """
 
 from __future__ import annotations
@@ -31,10 +18,11 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .dedekind import (
     apostol_bernoulli,
@@ -70,12 +58,10 @@ Q_SAMPLES = (0.31, 0.57, 0.83)
 # moduli up to a few dozen
 PROP1_Q_SAMPLES = (0.9, 0.94, 0.97)
 QT_SAMPLE = (0.37, 0.59)
-
-# the ids run_suite reports under; an identities filter must be a prefix of one
-IDENTITY_IDS = (
-    "eq1", "eq6", "prop1.eq2", "prop1.eq3", "prop1.eq4", "prop1.eq5", "prop2", "prop3", "prop4.R11",
-    "prop4.T11", "prop5", "gapvalues", "prop6.eq7", "prop7", "cor510", "sawtoothpoly",
-)
+# check_prop2 ceilings: n <= 3, and b <= 40 for n = 1, b <= 12 for n >= 2
+PROP2_N_MAX = 3
+PROP2_B_MAX_N1 = 40
+PROP2_B_MAX = 12
 
 
 @dataclass
@@ -297,12 +283,12 @@ def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> Identity
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 3:
-        raise TooLarge(f"n={n} > 3")
-    if n == 1 and b > 40:
-        raise TooLarge(f"b={b} > 40 for n=1")
-    if n > 1 and b > 12:
-        raise TooLarge(f"b={b} > 12 for n={n}")
+    if n > PROP2_N_MAX:
+        raise TooLarge(f"n={n} > {PROP2_N_MAX}")
+    if n == 1 and b > PROP2_B_MAX_N1:
+        raise TooLarge(f"b={b} > {PROP2_B_MAX_N1} for n=1")
+    if n > 1 and b > PROP2_B_MAX:
+        raise TooLarge(f"b={b} > {PROP2_B_MAX} for n={n}")
 
     v = voronoi_sum(a, b, m, n)
     rhs_mir, rhs_ab = _prop2_rhs(a, b, m, n)
@@ -532,15 +518,14 @@ def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
 
 @dataclass(frozen=True)
 class SuiteRanges:
-    """Parameter ranges for run_suite.  pairs_max <= 0 requests an empty run."""
+    """Parameter ranges for run_suite.  pairs_max <= 0 requests an empty run;
+    the prop2 pair ranges are clamped to check_prop2's ceilings."""
 
     pairs_max: int = 20
     semigroups: int = 6
     member_max: int = 12
     d_max: int = 8
     prop2_pairs_max: int = 12
-    prop2_m_max: int = 4
-    prop2_n_max: int = 3
     prop2_m1_pairs_max: int = 40
     identities: tuple = ()
 
@@ -564,13 +549,94 @@ def random_semigroups(count: int, rng: random.Random) -> list:
     return out
 
 
-def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0, threads: int = 1) -> list:
-    """Run every checker over the given ranges.
+# -- the catalog ---------------------------------------------------------------
+
+
+class CatalogRow(NamedTuple):
+    ids: tuple  # the report ids the checker emits
+    statement: str
+    # jobs(ranges, semigroups) yields (checker, args) per check; semigroups()
+    # returns the seeded random semigroups.  The checker is named in the job
+    # function's body, so it is looked up when the jobs are made.
+    jobs: Callable
+
+
+def _pairs(ranges):
+    return coprime_pairs(ranges.pairs_max)
+
+
+def _members(ranges, semigroups):
+    return [(S, s) for S in semigroups() for s in range(1, ranges.member_max + 1) if S.contains(s)]
+
+
+def _eq6_jobs(ranges, semigroups):
+    for a, b in _pairs(ranges):
+        for s in (a, b):
+            yield check_eq6, (torus_semigroup(a, b), s)
+    for S, s in _members(ranges, semigroups):
+        yield check_eq6, (S, s)
+
+
+def _prop2_jobs(ranges, semigroups):
+    for a, b in coprime_pairs(min(ranges.prop2_m1_pairs_max, PROP2_B_MAX_N1)):
+        for m in range(1, 5):
+            yield check_prop2, (a, b, m, 1)
+    for a, b in coprime_pairs(min(ranges.prop2_pairs_max, PROP2_B_MAX)):
+        for m in range(1, 5):
+            for n in range(2, PROP2_N_MAX + 1):
+                yield check_prop2, (a, b, m, n)
+
+
+def _prop7_jobs(ranges, semigroups):
+    for S in semigroups():
+        for d in range(1, ranges.d_max + 1):
+            if any(S.contains(d * s) for s in range(1, 21)):
+                yield check_prop7, (S, d)
+
+
+CATALOG = (
+    CatalogRow(("eq1",), "Hilbert series of <a, b> in closed form",
+               lambda r, sg: ((check_eq1, (a, b)) for a, b in _pairs(r))),
+    CatalogRow(("eq6",), "gap polynomial reassembled from Apery geometric blocks", _eq6_jobs),
+    CatalogRow(("prop1.eq2",), "Apery floor data of any semigroup from its gap polynomial",
+               lambda r, sg: ((check_prop1, (S, s, k, "exact", 2)) for S, s in _members(r, sg) for k in range(s))),
+    CatalogRow(("prop1.eq3",), "floor(a_k/s) counts the gaps in class k",
+               lambda r, sg: ((check_prop1, (S, s, k, "exact", 3)) for S, s in _members(r, sg) for k in range(s))),
+    CatalogRow(("prop1.eq4",), "prop1.eq2 for two generators (class index a*k mod b)",
+               lambda r, sg: ((check_prop1_ab, (a, b, k, "exact", 4)) for a, b in _pairs(r) for k in range(b))),
+    CatalogRow(("prop1.eq5",), "prop1.eq3 for two generators",
+               lambda r, sg: ((check_prop1_ab, (a, b, k, "exact", 5)) for a, b in _pairs(r) for k in range(b))),
+    CatalogRow(("prop2",), "Voronoi sums from gap-polynomial root values, Mirimanoff / Apostol-Bernoulli kernels",
+               _prop2_jobs),
+    CatalogRow(("prop3",), "Dedekind-Carlitz c(q^b, t) from gap polynomials",
+               lambda r, sg: ((check_prop3, (a, b)) for a, b in _pairs(r))),
+    # one check_prop4 call computes both displays
+    CatalogRow(("prop4.R11", "prop4.T11"), "floor-sum polynomial R11 vs its rational form; T11 display as written",
+               lambda r, sg: ((check_prop4, (a, b)) for a, b in _pairs(r))),
+    CatalogRow(("prop5",), "generating function of floor(ak/b) from gap-class counts",
+               lambda r, sg: ((check_prop5, (a, b)) for a, b in _pairs(r))),
+    CatalogRow(("gapvalues",), "gap polynomial at roots of unity in closed form; genus at 1",
+               lambda r, sg: ((check_gap_values, (a, b, k)) for a, b in _pairs(r) for k in range(b))),
+    CatalogRow(("prop6.eq7",), "V_{1,1} as a root-of-unity sum plus (a-1)(b-1)^2/4",
+               lambda r, sg: ((check_prop6, (a, b)) for a, b in _pairs(r))),
+    CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force", _prop7_jobs),
+    CatalogRow(("cor510",), "floor-sum polynomial identity swapping the roles of a and b",
+               lambda r, sg: ((check_cor510, (a, b)) for a, b in _pairs(r))),
+    CatalogRow(("sawtoothpoly",), "sawtooth generating polynomial vs its rational closed form",
+               lambda r, sg: ((check_sawtooth_poly, (a, b)) for a, b in _pairs(r))),
+)
+
+# the ids run_suite reports under; an identities filter must be a prefix of one
+IDENTITY_IDS = tuple(i for row in CATALOG for i in row.ids)
+
+
+def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
+    """Run the checks of every CATALOG row with a wanted id over the given ranges.
 
     Deterministic for a fixed seed: the random-semigroup population comes from
     a seeded PRNG, every float check evaluates at fixed sample points, and the
     returned reports are sorted canonically (id, then params) regardless of
-    execution order or thread count.  A filter in ranges.identities that is a
+    the order the checks ran in.  A filter in ranges.identities that is a
     prefix of no id in IDENTITY_IDS raises UnknownIdentity.
     """
     for f in ranges.identities:
@@ -582,68 +648,15 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0, threads: int =
     def want(identity_id: str) -> bool:
         return not ranges.identities or any(identity_id.startswith(f) for f in ranges.identities)
 
-    jobs = []
-    for a, b in coprime_pairs(ranges.pairs_max):
-        if want("eq1"):
-            jobs.append(lambda a=a, b=b: check_eq1(a, b))
-        if want("eq6"):
-            jobs.extend(lambda a=a, b=b, s=s: check_eq6(torus_semigroup(a, b), s) for s in (a, b))
-        if want("prop1.eq4"):
-            jobs.extend(lambda a=a, b=b, k=k: check_prop1_ab(a, b, k, eq=4) for k in range(b))
-        if want("prop1.eq5"):
-            jobs.extend(lambda a=a, b=b, k=k: check_prop1_ab(a, b, k, eq=5) for k in range(b))
-        if want("prop3"):
-            jobs.append(lambda a=a, b=b: check_prop3(a, b))
-        if want("prop4.R11") or want("prop4.T11"):
-            jobs.append(lambda a=a, b=b: check_prop4(a, b))
-        if want("prop5"):
-            jobs.append(lambda a=a, b=b: check_prop5(a, b))
-        if want("gapvalues"):
-            jobs.extend(lambda a=a, b=b, k=k: check_gap_values(a, b, k) for k in range(b))
-        if want("prop6.eq7"):
-            jobs.append(lambda a=a, b=b: check_prop6(a, b))
-        if want("cor510"):
-            jobs.append(lambda a=a, b=b: check_cor510(a, b))
-        if want("sawtoothpoly"):
-            jobs.append(lambda a=a, b=b: check_sawtooth_poly(a, b))
-    if want("prop2"):
-        # clamp to the checker ceilings (b <= 40 for n = 1, b <= 12 and n <= 3 otherwise)
-        for a, b in coprime_pairs(min(ranges.prop2_m1_pairs_max, 40)):
-            jobs.extend(lambda a=a, b=b, m=m: check_prop2(a, b, m, 1) for m in range(1, ranges.prop2_m_max + 1))
-        for a, b in coprime_pairs(min(ranges.prop2_pairs_max, 12)):
-            for m in range(1, ranges.prop2_m_max + 1):
-                jobs.extend(
-                    lambda a=a, b=b, m=m, n=n: check_prop2(a, b, m, n)
-                    for n in range(2, min(ranges.prop2_n_max, 3) + 1)
-                )
-    if ranges.semigroups > 0 and (want("eq6") or want("prop1.eq2") or want("prop1.eq3") or want("prop7")):
-        rng = random.Random(seed)
-        for S in random_semigroups(ranges.semigroups, rng):
-            members = [s for s in range(1, ranges.member_max + 1) if S.contains(s)]
-            for s in members:
-                if want("eq6"):
-                    jobs.append(lambda S=S, s=s: check_eq6(S, s))
-                if want("prop1.eq2"):
-                    jobs.extend(lambda S=S, s=s, k=k: check_prop1(S, s, k, eq=2) for k in range(s))
-                if want("prop1.eq3"):
-                    jobs.extend(lambda S=S, s=s, k=k: check_prop1(S, s, k, eq=3) for k in range(s))
-            if want("prop7"):
-                for d in range(1, ranges.d_max + 1):
-                    if any(S.contains(d * s) for s in range(1, 21)):
-                        jobs.append(lambda S=S, d=d: check_prop7(S, d))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(lambda job: job(), jobs))
-    else:
-        raw = [job() for job in jobs]
-
+    # drawn once, and only if a wanted row checks random semigroups
+    semigroups = cache(lambda: random_semigroups(ranges.semigroups, random.Random(seed)))
     reports = []
-    for r in raw:
-        if isinstance(r, tuple):
-            reports.extend(x for x in r if want(x.identity_id))
-        else:
-            reports.append(r)
+    for row in CATALOG:
+        if not any(want(i) for i in row.ids):
+            continue
+        for checker, args in row.jobs(ranges, semigroups):
+            out = checker(*args)
+            reports.extend(r for r in (out if isinstance(out, tuple) else (out,)) if want(r.identity_id))
     reports.sort(key=lambda r: (r.identity_id, sorted(r.params.items())))
     return reports
 

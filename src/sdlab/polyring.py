@@ -9,8 +9,8 @@ unity appears as a scalar inside a coefficient.
 
 The exact counterpart of averaging f(e^{2*pi*i*j/n} q) over j is multisection:
 picking out the terms whose exponents lie in one residue class mod n.  That
-equivalence is what `root_class_sum` implements, and it is the workhorse the
-identity checkers build on.
+equivalence is what `LaurentPoly.multisection` implements, and it is the
+workhorse the identity checkers build on.
 """
 
 from __future__ import annotations
@@ -167,7 +167,13 @@ class LaurentPoly:
     # -- multisection and evaluation ---------------------------------------
 
     def multisection(self, n: int, r: int) -> "LaurentPoly":
-        """Sub-polynomial of the terms whose exponents are congruent to r mod n."""
+        """Sub-polynomial of the terms whose exponents are congruent to r mod n.
+
+        This is the exact value of (1/n) * sum_j e^{-2*pi*i*jr/n} f(e^{2*pi*i*j/n} q):
+        averaging over the n-th roots of unity kills every term whose exponent
+        is not congruent to r mod n and keeps the rest untouched, so no
+        cyclotomic arithmetic is required.
+        """
         if n < 1:
             raise ValueError("modulus must be >= 1")
         r %= n
@@ -309,16 +315,6 @@ def geom_sum(m: int, step: int = 1) -> LaurentPoly:
     if m < 0:
         raise ValueError("m must be >= 0")
     return LaurentPoly({i * step: 1 for i in range(m)})
-
-
-def root_class_sum(f: LaurentPoly, n: int, k: int) -> LaurentPoly:
-    """Exact value of (1/n) * sum_j e^{-2*pi*i*jk/n} f(e^{2*pi*i*j/n} q).
-
-    Averaging over the n-th roots of unity kills every term whose exponent is
-    not congruent to k mod n and keeps the rest untouched, so the sum is just
-    the multisection of f — no cyclotomic arithmetic required.
-    """
-    return f.multisection(n, k)
 
 
 def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: LaurentPoly) -> bool:

@@ -220,10 +220,6 @@ class NumericalSemigroup:
         return sum(ap[(d * i) % (d * s)] // (d * s) for i in range(1, s))
 
 
-def semigroup_from_generators(gens) -> NumericalSemigroup:
-    return NumericalSemigroup.from_generators(gens)
-
-
 @lru_cache(maxsize=None)
 def torus_semigroup(a: int, b: int) -> NumericalSemigroup:
     """The semigroup generated by a coprime pair.  Cached: the identity

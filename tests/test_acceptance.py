@@ -199,7 +199,7 @@ def test_criterion_11_deterministic_reports(tmp_path, capsys):
 
 def test_criterion_12_default_suite_runtime():
     start = time.perf_counter()
-    reports = run_suite(SuiteRanges(), seed=0, threads=1)
+    reports = run_suite(SuiteRanges(), seed=0)
     elapsed = time.perf_counter() - start
     counts = summarize(reports)
     ok = bool(reports) and counts.get("fail", 0) == 0 and elapsed < 60.0

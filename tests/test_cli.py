@@ -3,12 +3,22 @@ import json
 import pytest
 
 from sdlab.cli import main
+from sdlab.identities import IDENTITY_IDS
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, out, err, *mentions):
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    for text in mentions:
+        assert text in err
 
 
 class TestSemigroupCommand:
@@ -159,17 +169,31 @@ class TestVerifyCommand:
         objs = json.loads(out)
         assert any(o["verdict"] == "expected-discrepancy" for o in objs)
 
-    def test_threads_match_single(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "t1.json", tmp_path / "t2.json"
-        run_cli(capsys, *self.ARGS, "--out", str(f1))
-        run_cli(capsys, *self.ARGS, "--threads", "4", "--out", str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
+    def test_identity_t11_alone(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--pairs-max", "6", "--semigroups", "0",
+                               "--identity", "prop4.T11")
+        assert code == 0
+        objs = json.loads(out)
+        assert objs and all(o["id"] == "prop4.T11" for o in objs)
 
-    def test_thread_env_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SDLAB_THREADS", "1")
-        f1 = tmp_path / "capped.json"
-        code, _, _ = run_cli(capsys, *self.ARGS, "--threads", "16", "--out", str(f1))
-        assert code == 0 and json.loads(f1.read_text())
+    def test_help_names_every_id(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for identity_id in IDENTITY_IDS:
+            assert identity_id in out
+
+    def test_threads_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--pairs-max", "3", "--semigroups", "0", "--out", str(missing))
+        assert_one_line_error(code, out, err, str(missing))
 
 
 class TestTableCommand:
@@ -185,3 +209,8 @@ class TestTableCommand:
         assert code == 0
         rows = json.loads(out)
         assert {"a": 3, "b": 5, "genus": 4, "frobenius": 7, "dedekind_sum": "0", "v11": 13} in rows
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "table", "--pairs-max", "5", "--out", str(missing))
+        assert_one_line_error(code, out, err, str(missing))

@@ -1,13 +1,19 @@
 import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from sdlab.dedekind import apostol_bernoulli, mirimanoff
 from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
+import sdlab.identities
 from sdlab.identities import (
+    CATALOG,
     IDENTITY_IDS,
+    PROP2_B_MAX,
+    PROP2_B_MAX_N1,
+    PROP2_N_MAX,
     SuiteRanges,
     _prop2_rhs,
     check_cor510,
@@ -30,7 +36,7 @@ from sdlab.identities import (
     run_suite,
     summarize,
 )
-from sdlab.semigroup import semigroup_from_generators, torus_semigroup
+from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
 from oracles import prop2_composition_sums
 
@@ -57,8 +63,8 @@ class TestEq1:
 class TestEq6:
     def test_pairs_and_general(self):
         assert check_eq6(torus_semigroup(3, 5), 5).verdict == "pass"
-        assert check_eq6(semigroup_from_generators([4, 7, 9]), 4).verdict == "pass"
-        assert check_eq6(semigroup_from_generators([1]), 1).verdict == "pass"
+        assert check_eq6(NumericalSemigroup.from_generators([4, 7, 9]), 4).verdict == "pass"
+        assert check_eq6(NumericalSemigroup.from_generators([1]), 1).verdict == "pass"
 
     def test_in_suite(self):
         reports = run_suite(SuiteRanges(pairs_max=6, semigroups=1, identities=("eq6",)), seed=0)
@@ -68,11 +74,11 @@ class TestEq6:
 class TestProp1:
     def test_examples(self):
         assert check_prop1(torus_semigroup(3, 5), 5, 2).verdict == "pass"
-        assert check_prop1(semigroup_from_generators([1]), 1, 0).verdict == "pass"
-        assert check_prop1(semigroup_from_generators([4, 7, 9]), 4, 1).verdict == "pass"
+        assert check_prop1(NumericalSemigroup.from_generators([1]), 1, 0).verdict == "pass"
+        assert check_prop1(NumericalSemigroup.from_generators([4, 7, 9]), 4, 1).verdict == "pass"
 
     def test_example_floor_values(self):
-        S = semigroup_from_generators([4, 7, 9])
+        S = NumericalSemigroup.from_generators([4, 7, 9])
         assert S.apery(4)[1] == 9  # floor 2 matches gaps {1, 5} in class 1
         assert len([g for g in S.gaps if g % 4 == 1]) == 2
 
@@ -101,7 +107,7 @@ class TestProp1:
         # the q^{-k} factor in the literal right side must not sink the float
         # route for the largest residues of the largest allowed modulus
         for gens in ([2, 3], [2, 29], [5, 7, 9]):
-            S = semigroup_from_generators(gens)
+            S = NumericalSemigroup.from_generators(gens)
             s = max(x for x in range(1, 26) if S.contains(x))
             for k in range(s):
                 assert check_prop1(S, s, k, mode="float").verdict == "pass"
@@ -250,7 +256,7 @@ class TestProp7:
     def test_examples(self):
         assert check_prop7(torus_semigroup(3, 5), 2).verdict == "pass"
         assert check_prop7(torus_semigroup(3, 5), 1).verdict == "pass"
-        assert check_prop7(semigroup_from_generators([4, 7, 9]), 3).verdict == "pass"
+        assert check_prop7(NumericalSemigroup.from_generators([4, 7, 9]), 3).verdict == "pass"
 
     def test_random_population(self):
         rng = random.Random(32)
@@ -284,11 +290,6 @@ class TestSuite:
         reports = run_suite(self.small_ranges(), seed=0)
         keys = [(r.identity_id, sorted(r.params.items())) for r in reports]
         assert keys == sorted(keys)
-
-    def test_threads_same_result(self):
-        r1 = run_suite(self.small_ranges(), seed=0, threads=1)
-        r2 = run_suite(self.small_ranges(), seed=0, threads=4)
-        assert reports_to_json(r1) == reports_to_json(r2)
 
     def test_empty_ranges(self):
         assert run_suite(SuiteRanges(pairs_max=0), seed=0) == []
@@ -332,6 +333,39 @@ class TestSuite:
         for r in run_suite(self.small_ranges(), seed=0):
             if r.mode == "exact" and r.verdict == "pass":
                 assert r.residual == 0.0
+
+
+class TestCatalog:
+    def test_readme_table_mirrors_catalog(self):
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| id "))
+        ids = []
+        for line in lines[start + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            ids.append(line.split("|")[1].strip().strip("`"))
+        assert ids == list(IDENTITY_IDS)
+
+    def test_checkers_looked_up_when_jobs_are_made(self, monkeypatch):
+        # a wrapper installed after import (as a tracer does) must see every call
+        calls = []
+        original = sdlab.identities.check_prop6
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sdlab.identities, "check_prop6", counting)
+        reports = run_suite(SuiteRanges(pairs_max=6, semigroups=0, identities=("prop6",)), seed=0)
+        assert len(calls) == len(reports) == len(coprime_pairs(6))
+
+    def test_prop2_row_stays_under_ceilings(self):
+        (row,) = [row for row in CATALOG if row.ids == ("prop2",)]
+        ranges = SuiteRanges(prop2_pairs_max=100, prop2_m1_pairs_max=100)
+        jobs = [args for _, args in row.jobs(ranges, lambda: [])]
+        assert max(b for _, b, _, n in jobs if n == 1) == PROP2_B_MAX_N1
+        assert max(b for _, b, _, n in jobs if n > 1) == PROP2_B_MAX
+        assert max(n for *_, n in jobs) == PROP2_N_MAX
 
 
 class TestSerialization:

@@ -16,7 +16,6 @@ from sdlab.polyring import (
     geom_sum,
     monomial,
     rational_eq,
-    root_class_sum,
     roots_of_unity,
 )
 from sdlab.errors import InexactDivision
@@ -168,9 +167,9 @@ class TestRootEvaluation:
 class TestRootClassSum:
     def test_equals_multisection(self):
         f = LaurentPoly({g: 1 for g in pair_gaps(3, 5)})
-        assert root_class_sum(f, 5, 2) == LaurentPoly({2: 1, 7: 1})
-        assert root_class_sum(ZERO, 4, 1).is_zero()
-        assert root_class_sum(monomial(3), 3, 0) == monomial(3)
+        assert f.multisection(5, 2) == LaurentPoly({2: 1, 7: 1})
+        assert ZERO.multisection(4, 1).is_zero()
+        assert monomial(3).multisection(3, 0) == monomial(3)
 
     def test_agrees_with_literal_float_average(self):
         # the core library invariant: exact multisection equals the literal
@@ -180,7 +179,7 @@ class TestRootClassSum:
             f = random_poly(rng, max_terms=200, lo=-5, hi=200, cmax=100)
             n = rng.randint(1, 20)
             k = rng.randint(0, n - 1)
-            part = root_class_sum(f, n, k)
+            part = f.multisection(n, k)
             for _ in range(5):
                 q = rng.uniform(0.45, 0.95)
                 literal = literal_class_avg(f.items(), n, k, q)

@@ -6,8 +6,8 @@ import pytest
 from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember
 from sdlab.polyring import LaurentPoly, ONE, monomial
 from sdlab.semigroup import (
+    NumericalSemigroup,
     alexander_closed_form,
-    semigroup_from_generators,
     torus_gaps_mordell,
     torus_semigroup,
 )
@@ -27,36 +27,36 @@ def random_generators(rng):
 
 class TestConstruction:
     def test_two_three(self):
-        S = semigroup_from_generators([2, 3])
+        S = NumericalSemigroup.from_generators([2, 3])
         assert S.gaps == (1,)
         assert S.frobenius == 1
         assert S.genus == 1
 
     def test_full_semigroup(self):
-        S = semigroup_from_generators([1])
+        S = NumericalSemigroup.from_generators([1])
         assert S.gaps == ()
         assert S.frobenius == -1
         assert S.genus == 0
 
     def test_three_generators(self):
-        S = semigroup_from_generators([4, 7, 9])
+        S = NumericalSemigroup.from_generators([4, 7, 9])
         assert S.gaps == (1, 2, 3, 5, 6, 10)
         assert S.frobenius == 10
         assert S.genus == 6
 
     def test_gcd_not_one_rejected(self):
         with pytest.raises(GcdNotOne):
-            semigroup_from_generators([4, 6])
+            NumericalSemigroup.from_generators([4, 6])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyGenerators):
-            semigroup_from_generators([])
+            NumericalSemigroup.from_generators([])
 
     def test_membership_against_closure_oracle(self):
         rng = random.Random(11)
         for _ in range(15):
             gens = random_generators(rng)
-            S = semigroup_from_generators(gens)
+            S = NumericalSemigroup.from_generators(gens)
             bound = min(gens) * max(gens) + max(gens)
             members = closure_members(gens, bound)
             for x in range(bound + 1):
@@ -64,13 +64,13 @@ class TestConstruction:
             assert list(S.gaps) == closure_gaps(gens)
 
     def test_membership_beyond_table(self):
-        S = semigroup_from_generators([3, 5])
+        S = NumericalSemigroup.from_generators([3, 5])
         # anything past the Frobenius number is a member
         assert all(S.contains(x) for x in range(S.frobenius + 1, S.frobenius + 200))
         assert not S.contains(-1)
 
     def test_closed_under_addition(self):
-        S = semigroup_from_generators([4, 7, 9])
+        S = NumericalSemigroup.from_generators([4, 7, 9])
         members = S.members(40)
         for x in members:
             for y in members:
@@ -78,7 +78,7 @@ class TestConstruction:
                     assert S.contains(x + y)
 
     def test_to_dict_schema(self):
-        S = semigroup_from_generators([3, 5])
+        S = NumericalSemigroup.from_generators([3, 5])
         assert S.to_dict() == {
             "generators": [3, 5],
             "frobenius": 7,
@@ -90,8 +90,8 @@ class TestConstruction:
 class TestApery:
     def test_examples(self):
         assert list(torus_semigroup(3, 5).apery(5)) == [0, 6, 12, 3, 9]
-        assert list(semigroup_from_generators([2, 3]).apery(2)) == [0, 3]
-        assert list(semigroup_from_generators([4, 7, 9]).apery(4)) == [0, 9, 14, 7]
+        assert list(NumericalSemigroup.from_generators([2, 3]).apery(2)) == [0, 3]
+        assert list(NumericalSemigroup.from_generators([4, 7, 9]).apery(4)) == [0, 9, 14, 7]
 
     def test_apery_as_set_for_pairs(self):
         # Ap_b(<a,b>) = {0, a, 2a, ..., (b-1)a}
@@ -102,7 +102,7 @@ class TestApery:
     def test_invariants(self):
         rng = random.Random(12)
         for _ in range(10):
-            S = semigroup_from_generators(random_generators(rng))
+            S = NumericalSemigroup.from_generators(random_generators(rng))
             for s in [s for s in range(1, 26) if S.contains(s)]:
                 ap = S.apery(s)
                 assert ap[0] == 0
@@ -113,7 +113,7 @@ class TestApery:
                 assert max(ap) - s == S.frobenius
 
     def test_non_member_rejected(self):
-        S = semigroup_from_generators([3, 5])
+        S = NumericalSemigroup.from_generators([3, 5])
         with pytest.raises(NotAMember):
             S.apery(4)
         with pytest.raises(NotAMember):
@@ -123,31 +123,31 @@ class TestApery:
 class TestGapPolynomials:
     def test_gap_poly_examples(self):
         assert torus_semigroup(3, 5).gap_poly() == LaurentPoly({1: 1, 2: 1, 4: 1, 7: 1})
-        assert semigroup_from_generators([1]).gap_poly().is_zero()
+        assert NumericalSemigroup.from_generators([1]).gap_poly().is_zero()
         assert torus_semigroup(2, 5).gap_poly() == LaurentPoly({1: 1, 3: 1})
 
     def test_semigroup_poly_examples(self):
-        assert semigroup_from_generators([2, 3]).semigroup_poly() == LaurentPoly({0: 1, 1: -1, 2: 1})
-        assert semigroup_from_generators([1]).semigroup_poly() == ONE
+        assert NumericalSemigroup.from_generators([2, 3]).semigroup_poly() == LaurentPoly({0: 1, 1: -1, 2: 1})
+        assert NumericalSemigroup.from_generators([1]).semigroup_poly() == ONE
         assert torus_semigroup(2, 5).semigroup_poly() == LaurentPoly({0: 1, 1: -1, 2: 1, 3: -1, 4: 1})
 
     def test_hilbert_trunc_examples(self):
-        assert semigroup_from_generators([2, 3]).hilbert_trunc(5) == LaurentPoly(
+        assert NumericalSemigroup.from_generators([2, 3]).hilbert_trunc(5) == LaurentPoly(
             {0: 1, 2: 1, 3: 1, 4: 1, 5: 1}
         )
-        assert semigroup_from_generators([1]).hilbert_trunc(3) == LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
+        assert NumericalSemigroup.from_generators([1]).hilbert_trunc(3) == LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
         assert torus_semigroup(3, 5).hilbert_trunc(8) == LaurentPoly({0: 1, 3: 1, 5: 1, 6: 1, 8: 1})
 
     def test_gap_poly_from_apery(self):
         assert torus_semigroup(3, 5).gap_poly_from_apery(5) == torus_semigroup(3, 5).gap_poly()
-        assert semigroup_from_generators([1]).gap_poly_from_apery(1).is_zero()
-        S = semigroup_from_generators([4, 7, 9])
+        assert NumericalSemigroup.from_generators([1]).gap_poly_from_apery(1).is_zero()
+        S = NumericalSemigroup.from_generators([4, 7, 9])
         assert S.gap_poly_from_apery(4) == LaurentPoly({1: 1, 2: 1, 3: 1, 5: 1, 6: 1, 10: 1})
 
     def test_gap_poly_from_apery_any_member(self):
         rng = random.Random(13)
         for _ in range(8):
-            S = semigroup_from_generators(random_generators(rng))
+            S = NumericalSemigroup.from_generators(random_generators(rng))
             for s in [s for s in range(1, 26) if S.contains(s)]:
                 assert S.gap_poly_from_apery(s) == S.gap_poly()
 
@@ -218,12 +218,12 @@ class TestQuotient:
         assert S.quotient(2).gaps == (1, 2)
         assert S.quotient(2).genus == 2
         assert S.quotient(1) is S
-        assert semigroup_from_generators([2, 3]).quotient(3).genus == 0
+        assert NumericalSemigroup.from_generators([2, 3]).quotient(3).genus == 0
 
     def test_quotient_membership_definition(self):
         rng = random.Random(14)
         for _ in range(8):
-            S = semigroup_from_generators(random_generators(rng))
+            S = NumericalSemigroup.from_generators(random_generators(rng))
             for d in range(1, 9):
                 Q = S.quotient(d)
                 for s in range(0, 60):
@@ -232,7 +232,7 @@ class TestQuotient:
     def test_genus_routes_agree(self):
         rng = random.Random(15)
         for _ in range(8):
-            S = semigroup_from_generators(random_generators(rng))
+            S = NumericalSemigroup.from_generators(random_generators(rng))
             for d in range(1, 9):
                 Q = S.quotient(d)
                 assert S.genus_quotient_trig(d) == Q.genus
@@ -249,7 +249,7 @@ class TestQuotient:
         S = torus_semigroup(3, 5)
         assert list(S.apery(6)) == [0, 13, 8, 3, 10, 5]
         assert S.genus_quotient_apery(2, 3) == 2
-        S23 = semigroup_from_generators([2, 3])
+        S23 = NumericalSemigroup.from_generators([2, 3])
         assert S23.genus_quotient_apery(2, 2) == 0
         assert S.genus_quotient_apery(1, 3) == S.genus
 
