@@ -8,6 +8,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -37,8 +38,19 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit 2, without the usage block.
+
+    Subcommand parsers are built from this class too (argparse's default
+    `parser_class`).
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdlab",
         description="Numerical semigroups, Dedekind-type sums, and identity verification.",
     )
@@ -196,13 +208,9 @@ def cmd_dedekind(args) -> int:
     return 0
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write text to path, or to stdout when no path is given."""
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """The --out file, opened now so that a bad path fails before any work; stdout when no path is given."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_verify(args) -> int:
@@ -215,13 +223,13 @@ def cmd_verify(args) -> int:
         prop2_m1_pairs_max=args.pairs_max,
         identities=tuple(args.identity),
     )
-    reports = run_suite(ranges, seed=args.seed)
-    text = (
-        reports_to_json(reports, include_timings=args.timings)
-        if args.format == "json"
-        else reports_to_csv(reports, include_timings=args.timings)
-    )
-    _write(text, args.out)
+    with _output(args.out) as fh:
+        reports = run_suite(ranges, seed=args.seed)
+        fh.write(
+            reports_to_json(reports, include_timings=args.timings)
+            if args.format == "json"
+            else reports_to_csv(reports, include_timings=args.timings)
+        )
     counts = summarize(reports)
     if reports:
         tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -232,8 +240,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    with _output(args.out) as fh:
+        fh.write(_table_text(args.pairs_max, args.format))
+    return 0
+
+
+def _table_text(pairs_max: int, fmt: str) -> str:
     rows = []
-    for b in range(3, args.pairs_max + 1):
+    for b in range(3, pairs_max + 1):
         for a in range(2, b):
             try:
                 S = torus_semigroup(a, b)
@@ -249,16 +263,11 @@ def cmd_table(args) -> int:
                     "v11": voronoi_sum(a, b, 1, 1),
                 }
             )
-    if args.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["a,b,genus,frobenius,dedekind_sum,v11"]
-        lines.extend(
-            f"{r['a']},{r['b']},{r['genus']},{r['frobenius']},{r['dedekind_sum']},{r['v11']}" for r in rows
-        )
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return 0
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    lines = ["a,b,genus,frobenius,dedekind_sum,v11"]
+    lines.extend(f"{r['a']},{r['b']},{r['genus']},{r['frobenius']},{r['dedekind_sum']},{r['v11']}" for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

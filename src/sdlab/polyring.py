@@ -1,11 +1,14 @@
 """Sparse exact Laurent-polynomial arithmetic in one and two variables.
 
 Polynomials are stored as maps from (possibly negative) integer exponents to
-nonzero coefficients.  Univariate coefficients are always `fractions.Fraction`,
-so every ring operation here is exact; the only floating point in this module
-is root-of-unity evaluation, which returns complex numbers.  Bivariate
-polynomials additionally accept complex coefficients, needed when a root of
-unity appears as a scalar inside a coefficient.
+nonzero coefficients.  Univariate coefficients are ints or
+`fractions.Fraction`s (ints stay unwrapped, which spares the Fraction gcd on
+the mostly integer ring operations), so every ring operation here is exact;
+the only floating point in this module is root-of-unity evaluation, which
+returns complex numbers.  Bivariate polynomials additionally accept complex
+coefficients, needed when a root of unity appears as a scalar inside a
+coefficient.  Both classes share one sparse core, `_Sparse`; each keeps its
+own product kernel and the operations that read its exponents.
 
 The exact counterpart of averaging f(e^{2*pi*i*j/n} q) over j is multisection:
 picking out the terms whose exponents lie in one residue class mod n.  That
@@ -22,20 +25,6 @@ from functools import lru_cache
 from .errors import InexactDivision
 
 
-def _coerce_exact(c):
-    # ints are exact rationals too; keeping them unwrapped avoids Fraction
-    # gcd overhead on the (overwhelmingly integer) ring operations
-    if isinstance(c, (int, Fraction)):
-        return c
-    raise TypeError(f"exact coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _coerce_mixed(c):
-    if isinstance(c, (int, Fraction, complex)):
-        return c
-    raise TypeError(f"coefficient must be int, Fraction or complex, got {type(c).__name__}")
-
-
 @lru_cache(maxsize=None)
 def roots_of_unity(n: int) -> tuple[complex, ...]:
     """All n-th roots of unity, indexed by exponent: roots_of_unity(n)[r] = e^{2*pi*i*r/n}."""
@@ -44,7 +33,115 @@ def roots_of_unity(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * r / n) for r in range(n))
 
 
-class LaurentPoly:
+class _Sparse:
+    """Map from exponent key to nonzero coefficient: the ring core of both classes.
+
+    A subclass declares the key of its constant term (`_ONE_KEY`), the
+    coefficient types it accepts (`_COEFFS`) and how a key is normalized
+    (`_key`).  It writes its own `__mul__`: adding exponents is the inner loop
+    of every product, so the kernel is not routed through a per-term hook.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=()):
+        items = terms.items() if isinstance(terms, dict) else terms
+        coeffs, norm = self._COEFFS, self._key
+        data = {}
+        for key, c in items:
+            if not isinstance(c, coeffs):
+                names = ", ".join(t.__name__ for t in coeffs)
+                raise TypeError(f"{type(self).__name__} coefficient must be one of {names}, got {type(c).__name__}")
+            if c:
+                key = norm(key)
+                data[key] = data.get(key, 0) + c
+        self._terms = {k: c for k, c in data.items() if c}
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
+
+    # -- inspection -------------------------------------------------------
+
+    def items(self):
+        """Terms as (key, coefficient) pairs, keys ascending."""
+        return sorted(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        if isinstance(other, self._COEFFS):
+            return self._terms == ({self._ONE_KEY: other} if other else {})
+        return NotImplemented
+
+    __hash__ = None
+
+    # -- ring operations --------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, self._COEFFS):
+            other = self._raw({self._ONE_KEY: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, c):
+        """Product with the scalar c, which the caller has checked against `_COEFFS`."""
+        return self._raw({k: c * v for k, v in self._terms.items()} if c else {})
+
+    def __pow__(self, n: int):
+        """Binary powering; squares only while bits of n remain, so p**1 costs no p*p."""
+        if n < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        result, p = self._raw({self._ONE_KEY: 1}), self
+        while n:
+            if n & 1:
+                result = result * p
+            n >>= 1
+            if n:
+                p = p * p
+        return result
+
+    # -- display ------------------------------------------------------------
+
+    def __str__(self):
+        return _render(self.items())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class LaurentPoly(_Sparse):
     """Univariate Laurent polynomial with exact rational coefficients.
 
     >>> f = LaurentPoly({1: 1, 2: 1, 4: 1, 7: 1})
@@ -54,32 +151,18 @@ class LaurentPoly:
     q^2 + q^7
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for e, c in items:
-            c = _coerce_exact(c)
-            if c:
-                e = int(e)
-                data[e] = data.get(e, 0) + c
-        self._terms = {e: c for e, c in data.items() if c}
+    __slots__ = ()
+    _ONE_KEY = 0
+    _COEFFS = (int, Fraction)
+    _key = int
 
     # -- inspection -------------------------------------------------------
-
-    def items(self):
-        """Terms as (exponent, coefficient) pairs, exponents ascending."""
-        return sorted(self._terms.items())
 
     def support(self):
         return sorted(self._terms)
 
     def coeff(self, e: int):
         return self._terms.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree(self) -> int:
         if not self._terms:
@@ -94,54 +177,11 @@ class LaurentPoly:
     def l1_norm(self) -> Fraction:
         return sum((abs(c) for c in self._terms.values()), Fraction(0))
 
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == constant(other)
-        return NotImplemented
-
-    __hash__ = None
-
     # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else -_coerce_exact(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_exact(other)
-            if not c:
-                return ZERO
-            return _raw({e: c * v for e, v in self._terms.items()})
+            return self._scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, object] = {}
@@ -153,16 +193,13 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return _raw(out)
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return _power(self, n, ONE)
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k (k may be negative)."""
-        return _raw({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
 
     # -- multisection and evaluation ---------------------------------------
 
@@ -177,7 +214,7 @@ class LaurentPoly:
         if n < 1:
             raise ValueError("modulus must be >= 1")
         r %= n
-        return _raw({e: c for e, c in self._terms.items() if e % n == r})
+        return LaurentPoly._raw({e: c for e, c in self._terms.items() if e % n == r})
 
     def evaluate(self, x):
         """Value at x; exact for Fraction x, complex for complex x."""
@@ -219,9 +256,9 @@ class LaurentPoly:
         if any(num):
             raise InexactDivision("nonzero remainder")
         shift = fv - gv
-        return _raw({i + shift: c for i, c in enumerate(quo) if c})
+        return LaurentPoly._raw({i + shift: c for i, c in enumerate(quo) if c})
 
-    # -- serialization and display ------------------------------------------
+    # -- serialization ------------------------------------------------------
 
     def to_terms(self) -> list:
         """JSON-ready term list [[exponent, "num/den"], ...], exponents ascending."""
@@ -231,12 +268,6 @@ class LaurentPoly:
     def from_terms(cls, terms) -> "LaurentPoly":
         return cls((int(e), Fraction(c)) for e, c in terms)
 
-    def __str__(self):
-        return _render(self.items(), lambda e: _pow_str("q", e))
-
-    def __repr__(self):
-        return f"LaurentPoly({dict(self.items())!r})"
-
 
 def _dense(terms: dict, lo: int, hi: int) -> list:
     out = [Fraction(0)] * (hi - lo + 1)
@@ -245,44 +276,14 @@ def _dense(terms: dict, lo: int, hi: int) -> list:
     return out
 
 
-def _power(p, n: int, one):
-    """p**n by binary powering; squares only while bits of n remain."""
-    if n < 0:
-        raise ValueError("negative powers are not defined for polynomials")
-    result = one
-    while n:
-        if n & 1:
-            result = result * p
-        n >>= 1
-        if n:
-            p = p * p
-    return result
-
-
-def _raw(terms: dict) -> LaurentPoly:
-    p = LaurentPoly.__new__(LaurentPoly)
-    p._terms = terms
-    return p
-
-
-def _pow_str(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return f"{var}^{e}"
-
-
-def _render(items, mono) -> str:
+def _render(items) -> str:
     if not items:
         return "0"
     parts = []
     for key, c in items:
-        m = mono(key) if not isinstance(key, tuple) else mono(*key)
-        if isinstance(c, complex):
-            cs = f"({c:.6g})"
-        else:
-            cs = str(c)
+        exps = key if isinstance(key, tuple) else (key,)
+        m = "*".join(var if e == 1 else f"{var}^{e}" for var, e in zip("qt", exps) if e)
+        cs = f"({c:.6g})" if isinstance(c, complex) else str(c)
         if m == "":
             term = cs
         elif cs == "1":
@@ -324,7 +325,7 @@ def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: L
     return fnum * gden == gnum * fden
 
 
-class BiLaurent:
+class BiLaurent(_Sparse):
     """Bivariate Laurent polynomial in (q, t).
 
     Keys are (q-exponent, t-exponent) pairs.  Coefficients are Fractions in
@@ -332,86 +333,21 @@ class BiLaurent:
     (see dedekind.dj_poly).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _ONE_KEY = (0, 0)
+    _COEFFS = (int, Fraction, complex)
 
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for key, c in items:
-            c = _coerce_mixed(c)
-            if c:
-                eq, et = key
-                key = (int(eq), int(et))
-                data[key] = data.get(key, 0) + c
-        self._terms = {k: c for k, c in data.items() if c}
-
-    # -- inspection -------------------------------------------------------
-
-    def items(self):
-        return sorted(self._terms.items())
+    @staticmethod
+    def _key(key):
+        eq, et = key
+        return int(eq), int(et)
 
     def coeff(self, eq: int, et: int):
         return self._terms.get((eq, et), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self._terms.values())
-
-    def l1_norm(self):
-        return sum(abs(c) for c in self._terms.values())
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, BiLaurent):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({} if not other else {(0, 0): _coerce_exact(other)})
-        return NotImplemented
-
-    __hash__ = None
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurent({(0, 0): other})
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _braw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _braw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurent({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, complex)):
-            c = _coerce_mixed(other)
-            if not c:
-                return BI_ZERO
-            return _braw({k: c * v for k, v in self._terms.items()})
+            return self._scale(other)
         if not isinstance(other, BiLaurent):
             return NotImplemented
         out: dict[tuple[int, int], object] = {}
@@ -423,32 +359,22 @@ class BiLaurent:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return _braw(out)
+        return BiLaurent._raw(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return _power(self, n, BI_ONE)
-
     def shift(self, dq: int, dt: int) -> "BiLaurent":
         """Multiply by q^dq * t^dt."""
-        return _braw({(eq + dq, et + dt): c for (eq, et), c in self._terms.items()})
+        return BiLaurent._raw({(eq + dq, et + dt): c for (eq, et), c in self._terms.items()})
 
     def scale_q(self, m: int) -> "BiLaurent":
         """Substitute q -> q^m (m >= 1)."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        return _braw({(eq * m, et): c for (eq, et), c in self._terms.items()})
-
-    def scale_t(self, m: int) -> "BiLaurent":
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return _braw({(eq, et * m): c for (eq, et), c in self._terms.items()})
+        return BiLaurent._raw({(eq * m, et): c for (eq, et), c in self._terms.items()})
 
     def evaluate(self, qv, tv):
         return sum(c * qv**eq * tv**et for (eq, et), c in self._terms.items())
-
-    # -- serialization and display ------------------------------------------
 
     def to_terms(self) -> list:
         out = []
@@ -462,26 +388,6 @@ class BiLaurent:
     def from_terms(cls, terms) -> "BiLaurent":
         return cls(((int(eq), int(et)), Fraction(c)) for eq, et, c in terms)
 
-    def __str__(self):
-        def mono(eq, et):
-            qs, ts = _pow_str("q", eq), _pow_str("t", et)
-            return f"{qs}*{ts}" if qs and ts else qs + ts
-
-        return _render(self.items(), mono)
-
-    def __repr__(self):
-        return f"BiLaurent({dict(self.items())!r})"
-
-
-def _braw(terms: dict) -> BiLaurent:
-    p = BiLaurent.__new__(BiLaurent)
-    p._terms = terms
-    return p
-
-
-BI_ZERO = BiLaurent()
-BI_ONE = BiLaurent({(0, 0): 1})
-
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:
     return BiLaurent({(eq, et): c})
@@ -489,19 +395,9 @@ def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:
 
 def from_q(p: LaurentPoly) -> BiLaurent:
     """Embed a univariate polynomial in q into (q, t)."""
-    return BiLaurent({(e, 0): c for e, c in p.items()})
+    return BiLaurent._raw({(e, 0): c for e, c in p.items()})
 
 
 def from_t(p: LaurentPoly) -> BiLaurent:
     """Embed a univariate polynomial, read in the variable t, into (q, t)."""
-    return BiLaurent({(0, e): c for e, c in p.items()})
-
-
-def bi_geom_sum(m: int, var: str = "q", step: int = 1) -> BiLaurent:
-    """Bivariate 1 + v + ... + v^{m-1} with v = q^step or t^step."""
-    g = geom_sum(m, step)
-    if var == "q":
-        return from_q(g)
-    if var == "t":
-        return from_t(g)
-    raise ValueError("var must be 'q' or 't'")
+    return BiLaurent._raw({(0, e): c for e, c in p.items()})

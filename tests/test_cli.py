@@ -21,6 +21,17 @@ def assert_one_line_error(code, out, err, *mentions):
         assert text in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--threads", "2"], ["semigroup"]], ids=["verify-threads", "semigroup"])
+def test_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 class TestSemigroupCommand:
     def test_pair(self, capsys):
         code, out, _ = run_cli(capsys, "semigroup", "--pair", "3,5")
@@ -195,6 +206,15 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--pairs-max", "3", "--semigroups", "0", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))
 
+    def test_unwritable_out_refused_before_the_suite(self, capsys, tmp_path, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr("sdlab.cli.run_suite", no_suite)
+        missing = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--out", str(missing))
+        assert_one_line_error(code, out, err, str(missing))
+
 
 class TestTableCommand:
     def test_csv(self, capsys):
@@ -213,4 +233,13 @@ class TestTableCommand:
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing" / "table.csv"
         code, out, err = run_cli(capsys, "table", "--pairs-max", "5", "--out", str(missing))
+        assert_one_line_error(code, out, err, str(missing))
+
+    def test_unwritable_out_refused_before_the_table(self, capsys, tmp_path, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was built before --out was checked")
+
+        monkeypatch.setattr("sdlab.cli.torus_semigroup", no_table)
+        missing = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "table", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))

@@ -8,7 +8,6 @@ from sdlab.polyring import (
     LaurentPoly,
     ONE,
     ZERO,
-    bi_geom_sum,
     bi_monomial,
     constant,
     from_q,
@@ -28,6 +27,13 @@ def random_poly(rng, max_terms=8, lo=-6, hi=12, cmax=9):
     for _ in range(rng.randint(0, max_terms)):
         terms[rng.randint(lo, hi)] = Fraction(rng.randint(-cmax, cmax), rng.randint(1, 4))
     return LaurentPoly(terms)
+
+
+def random_bipoly(rng, max_terms=8, lo=-4, hi=6, cmax=9):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        terms[rng.randint(lo, hi), rng.randint(lo, hi)] = Fraction(rng.randint(-cmax, cmax), rng.randint(1, 4))
+    return BiLaurent(terms)
 
 
 class TestArithmetic:
@@ -52,14 +58,15 @@ class TestArithmetic:
         assert LaurentPoly([(2, 1), (2, 1), (0, 1)]) == LaurentPoly({2: 2, 0: 1})
 
     def test_ring_laws(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            f, g, h = (random_poly(rng) for _ in range(3))
-            assert f + g == g + f
-            assert f * g == g * f
-            assert (f + g) + h == f + (g + h)
-            assert (f * g) * h == f * (g * h)
-            assert f * (g + h) == f * g + f * h
+        for make in (random_poly, random_bipoly):
+            rng = random.Random(7)
+            for _ in range(60):
+                f, g, h = (make(rng) for _ in range(3))
+                assert f + g == g + f
+                assert f * g == g * f
+                assert (f + g) + h == f + (g + h)
+                assert (f * g) * h == f * (g * h)
+                assert f * (g + h) == f * g + f * h
 
     def test_scalar_and_pow(self):
         f = LaurentPoly({-1: 2, 3: -1})
@@ -89,6 +96,45 @@ class TestArithmetic:
         _ = f + g
         _ = f * g
         assert f == monomial(1) and g == monomial(1, -1)
+
+
+class TestCoefficientContract:
+    """What the shared core must keep apart: exact univariate, complex-capable bivariate."""
+
+    def test_univariate_is_exact(self):
+        for c in (1j, 0.5):
+            with pytest.raises(TypeError):
+                LaurentPoly({1: c})
+        f = monomial(1)
+        with pytest.raises(TypeError):
+            f * 1j
+        with pytest.raises(TypeError):
+            1j * f
+        with pytest.raises(TypeError):
+            f + 0.5
+
+    def test_bivariate_takes_complex(self):
+        p = BiLaurent({(1, 0): 1j, (0, 2): 1})
+        assert p.coeff(1, 0) == 1j
+        assert p * 2j == 2j * p == BiLaurent({(1, 0): -2, (0, 2): 2j})
+        with pytest.raises(TypeError):
+            BiLaurent({(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            p * 0.5
+
+    def test_classes_never_equal(self):
+        assert (LaurentPoly({0: 1}) == BiLaurent({(0, 0): 1})) is False
+        assert (BiLaurent({(0, 0): 1}) == LaurentPoly({0: 1})) is False
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 1}) + BiLaurent({(0, 0): 1})
+
+    def test_scalars_on_both_classes(self):
+        for p, one in ((LaurentPoly({1: 1, 0: 3}), ONE), (BiLaurent({(1, 1): 1, (0, 0): 3}), bi_monomial(0, 0))):
+            assert p - p == 0 and not p == 0
+            assert p - 3 == p - 3 * one and len(p - 3) == 1
+            assert 3 - p == 3 * one - p == -(p - 3)
+            assert (p - 3) + 3 == p
+            assert one * Fraction(5, 2) == Fraction(5, 2)
 
 
 class TestMultisection:
@@ -190,7 +236,7 @@ class TestGeomSum:
     def test_small_cases(self):
         assert geom_sum(0).is_zero()
         assert geom_sum(1) == ONE
-        assert bi_geom_sum(4, "t") == BiLaurent({(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1})
+        assert from_t(geom_sum(4)) == BiLaurent({(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1})
 
     def test_closes_the_telescope(self):
         for m in range(8):
