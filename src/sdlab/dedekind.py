@@ -121,7 +121,7 @@ def mirimanoff(lam, m: int, b: int):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0..B_n with B_1 = -1/2 (generating function t/(e^t - 1))."""
     out = [Fraction(1)]

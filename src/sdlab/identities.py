@@ -20,8 +20,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd
+from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
+from math import gcd, isfinite
 from typing import Callable, NamedTuple
 
 from .dedekind import (
@@ -99,19 +100,19 @@ def _gen_params(S: NumericalSemigroup) -> dict:
     return {f"g{i + 1}": g for i, g in enumerate(S.generators)}
 
 
-def _gap_root_values(S: NumericalSemigroup, n: int) -> list:
-    """C_S at every n-th root of unity.
+@lru_cache(maxsize=1024)  # every coprime pair with b <= 58
+def _gap_root_values(a: int, b: int) -> tuple:
+    """C at every b-th root of unity for <a, b>, computed once per pair.
 
     Exact regroup of the defining sum by residue class of the exponent:
     sum_g w^{jg} = sum_r count_r w^{jr}, which drops the cost from
-    O(n * genus) to O(n^2) for a full vector of values.
+    O(b * genus) to O(b^2) for a full vector of values.  The counts are
+    class_counts(b) of torus_semigroup(a, b), taken from its gap list.
     """
-    counts = [0] * n
-    for g in S.gaps:
-        counts[g % n] += 1
-    roots = roots_of_unity(n)
-    support = [r for r in range(n) if counts[r]]
-    return [sum((counts[r] * roots[(j * r) % n] for r in support), 0j) for j in range(n)]
+    counts = torus_semigroup(a, b).class_counts(b)
+    roots = roots_of_unity(b)
+    support = [r for r in range(b) if counts[r]]
+    return tuple(sum((counts[r] * roots[(j * r) % b] for r in support), 0j) for j in range(b))
 
 
 # -- section 1: Hilbert series ---------------------------------------------------
@@ -164,12 +165,12 @@ def _prop1_eq2(C: LaurentPoly, s: int, k: int, fl: int, mode: str):
     return worst, ok
 
 
-def _prop1_eq3(C: LaurentPoly, s: int, k: int, fl: int, mode: str):
+def _prop1_eq3(S: NumericalSemigroup, s: int, k: int, fl: int, mode: str):
     if mode == "exact":
-        count = len(C.multisection(s, k))
+        count = S.class_counts(s)[k]
         return (0.0 if fl == count else float(abs(fl - count))), fl == count
     roots = roots_of_unity(s)
-    rhs = sum(roots[(-j * k) % s] * C.eval_root_of_unity(s, j) for j in range(s)) / s
+    rhs = sum(roots[(-j * k) % s] * S.gap_poly().eval_root_of_unity(s, j) for j in range(s)) / s
     err = abs(fl - rhs)
     return err, err <= FLOAT_TOL * (1 + fl)
 
@@ -204,10 +205,10 @@ def check_prop1(S: NumericalSemigroup, s: int, k: int, mode: str = "exact", eq: 
         residual, ok = _prop1_eq2(C, s, k, fl, mode)
         return _finish("prop1.eq2", params, mode, residual, ok, started)
     if eq == 3:
-        residual, ok = _prop1_eq3(C, s, k, fl, mode)
+        residual, ok = _prop1_eq3(S, s, k, fl, mode)
         return _finish("prop1.eq3", params, mode, residual, ok, started)
     r2, ok2 = _prop1_eq2(C, s, k, fl, mode)
-    r3, ok3 = _prop1_eq3(C, s, k, fl, mode)
+    r3, ok3 = _prop1_eq3(S, s, k, fl, mode)
     return _finish("prop1", params, mode, max(r2, r3), ok2 and ok3, started)
 
 
@@ -231,30 +232,35 @@ def check_prop1_ab(a: int, b: int, k: int, mode: str = "exact", eq: int | None =
         residual, ok = _prop1_eq2(C, b, pik, fl, mode)
         return _finish("prop1.eq4", params, mode, residual, ok, started)
     if eq == 5:
-        residual, ok = _prop1_eq3(C, b, pik, fl, mode)
+        residual, ok = _prop1_eq3(S, b, pik, fl, mode)
         return _finish("prop1.eq5", params, mode, residual, ok, started)
     r4, ok4 = _prop1_eq2(C, b, pik, fl, mode)
-    r5, ok5 = _prop1_eq3(C, b, pik, fl, mode)
+    r5, ok5 = _prop1_eq3(S, b, pik, fl, mode)
     return _finish("prop1.ab", params, mode, max(r4, r5), ok4 and ok5, started)
 
 
 # -- section 3: Voronoi sums ------------------------------------------------------
 
 
+@lru_cache(maxsize=256)  # every b <= 40 for m up to 6
+def _prop2_kernels(b: int, m: int) -> tuple[tuple, tuple]:
+    """Both prop2 kernels at every b-th root eps^r, indexed by r, once per
+    (b, m): M_{b-1}(eps^r, m) and (B_{m+1}(b, eps^r) - B_{m+1}(0, eps^r))/(m+1)."""
+    roots = roots_of_unity(b)
+    mir = tuple(mirimanoff(lam, m, b) for lam in roots)
+    ab = tuple(complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1) for lam in roots)
+    return mir, ab
+
+
 def _prop2_rhs(a: int, b: int, m: int, n: int) -> tuple[complex, complex]:
     """The two right-hand sides of check_prop2, (Mirimanoff form, Apostol-Bernoulli form)."""
-    roots = roots_of_unity(b)
-    Cj = _gap_root_values(torus_semigroup(a, b), b)
+    Cj = _gap_root_values(a, b)
     P = Cj
     for _ in range(n - 1):
         P = [sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b)]
-
-    def ab_diff(lam):
-        val = apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)
-        return complex(val) / (m + 1)
-
-    rhs_mir = sum(P[r] * mirimanoff(roots[(-a * r) % b], m, b) for r in range(b)) / b**n
-    rhs_ab = sum(P[r] * ab_diff(roots[(-a * r) % b]) for r in range(b)) / b**n
+    mir, ab = _prop2_kernels(b, m)
+    rhs_mir = sum(P[r] * mir[(-a * r) % b] for r in range(b)) / b**n
+    rhs_ab = sum(P[r] * ab[(-a * r) % b] for r in range(b)) / b**n
     return rhs_mir, rhs_ab
 
 
@@ -270,7 +276,8 @@ def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> Identity
     The kernel depends on W only mod b, so the composition sum is the cyclic
     power P = (sum_j C(eps^j) x^j)^n mod (x^b - 1), built with n - 1 cyclic
     convolutions, followed by sum_r P[r] K(eps^{-ar}): b kernel evaluations
-    per form.  n = 1 is the same formula with P = C.
+    per form.  n = 1 is the same formula with P = C.  The root values come from
+    the cache _gap_root_values, the kernel values from the cache _prop2_kernels.
 
     n = 1 is allowed up to b = 40 at a tighter tolerance; n in [2, 3]
     requires b <= 12.
@@ -398,13 +405,12 @@ def check_prop5(a: int, b: int, mode: str = "exact") -> IdentityReport:
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    S = torus_semigroup(a, b)
-    C = S.gap_poly()
     if mode == "exact":
-        ok = all(a * i // b == len(C.multisection(b, (a * i) % b)) for i in range(b))
+        counts = torus_semigroup(a, b).class_counts(b)
+        ok = all(a * i // b == counts[(a * i) % b] for i in range(b))
         return _finish("prop5", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
     roots = roots_of_unity(b)
-    cj = _gap_root_values(S, b)
+    cj = _gap_root_values(a, b)
     worst = 0.0
     ok = True
     for q0 in Q_SAMPLES:
@@ -447,22 +453,21 @@ def check_prop6(a: int, b: int, mode: str = "float") -> IdentityReport:
     Float route: the defining integer sum against the literal complex sum.
     Exact route: the root-sum coefficients 1/(eps^{-ja}-1) arise from the
     power-weighted kernel, so the j-sum equals
-    sum_k k * (#gaps in class ak mod b) - genus*(b-1)/2, all exact rationals.
+    sum_k k * (#gaps in class ak mod b) - genus*(b-1)/2, all exact rationals;
+    the counts are class_counts(b) of <a, b>, and the genus is their sum.
     """
     started = time.perf_counter()
     require_coprime(a, b)
     v = voronoi_sum(a, b, 1, 1)
     correction = Fraction((a - 1) * (b - 1) ** 2, 4)
-    S = torus_semigroup(a, b)
     params = {"a": a, "b": b}
     if mode == "exact":
-        C = S.gap_poly()
-        counts = [len(C.multisection(b, r)) for r in range(b)]
-        trig = sum(k * counts[a * k % b] for k in range(1, b)) - Fraction(S.genus * (b - 1), 2)
+        counts = torus_semigroup(a, b).class_counts(b)
+        trig = sum(k * counts[a * k % b] for k in range(1, b)) - Fraction(sum(counts) * (b - 1), 2)
         ok = Fraction(v) == trig + correction
         return _finish("prop6.eq7", params, "exact", 0.0 if ok else 1.0, ok, started)
     roots = roots_of_unity(b)
-    cj = _gap_root_values(S, b)
+    cj = _gap_root_values(a, b)
     trig = sum((cj[j] / (roots[(-j * a) % b] - 1) for j in range(1, b)), 0j)
     rhs = trig + float(correction)
     err = abs(v - rhs)
@@ -691,9 +696,25 @@ def report_to_obj(r: IdentityReport, include_timings: bool = False) -> dict:
     return obj
 
 
+def _obj_json(obj: dict, indent: str) -> str:
+    fields = []
+    for k, v in sorted(obj.items()):
+        if isinstance(v, dict):
+            v = _obj_json(v, indent + "  ") if v else "{}"
+        elif isinstance(v, float) and not isfinite(v):
+            v = json.dumps(v)
+        else:
+            v = encode_basestring_ascii(v) if isinstance(v, str) else repr(v)
+        fields.append(f"{indent}  {encode_basestring_ascii(k)}: {v}")
+    return "{\n" + ",\n".join(fields) + "\n" + indent + "}"
+
+
 def reports_to_json(reports, include_timings: bool = False) -> str:
-    objs = [report_to_obj(r, include_timings) for r in reports]
-    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+    """json.dumps([report_to_obj(r) ...], indent=2, sort_keys=True) + "\n", byte
+    for byte; an indent makes json.dumps run its pure-Python encoder, so the
+    layout is fixed here and only scalars are encoded, strings in C."""
+    objs = [_obj_json(report_to_obj(r, include_timings), "  ") for r in reports]
+    return "[\n  " + ",\n  ".join(objs) + "\n]\n" if objs else "[]\n"
 
 
 def reports_to_csv(reports, include_timings: bool = False) -> str:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .errors import InexactDivision
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def roots_of_unity(n: int) -> tuple[complex, ...]:
     """All n-th roots of unity, indexed by exponent: roots_of_unity(n)[r] = e^{2*pi*i*r/n}."""
     if n < 1:

@@ -10,12 +10,13 @@ exact membership table built once per semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import EmptyGenerators, GcdNotOne, InexactDivision, NotAMember, require_coprime
+from .errors import EmptyGenerators, GcdNotOne, InexactDivision, NotAMember, TooLarge, require_coprime
 from .polyring import ONE, LaurentPoly, geom_sum, monomial
+
+SIZE_MAX = 10**6  # largest Apery or class-count modulus and Hilbert degree: larger are refused before any work
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class AperySet:
 class NumericalSemigroup:
     """Immutable numerical semigroup with a precomputed membership table."""
 
-    __slots__ = ("generators", "frobenius", "gaps", "_table", "_gap_poly_cache")
+    __slots__ = ("generators", "frobenius", "gaps", "_table", "_gap_poly_cache", "_class_counts")
 
     def __init__(self, generators: tuple[int, ...], frobenius: int, gaps: tuple[int, ...], table: list[bool]):
         # internal; use from_generators
@@ -58,6 +59,7 @@ class NumericalSemigroup:
         self.gaps = gaps
         self._table = table
         self._gap_poly_cache = None
+        self._class_counts = {}
 
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
@@ -128,6 +130,8 @@ class NumericalSemigroup:
 
     def apery(self, s: int) -> AperySet:
         """Least member of each residue class mod s; s must be a nonzero member."""
+        if s > SIZE_MAX:
+            raise TooLarge(f"Apery modulus {s} > {SIZE_MAX}")
         if s <= 0 or not self.contains(s):
             raise NotAMember(f"{s} is not a nonzero member")
         elements = []
@@ -153,7 +157,24 @@ class NumericalSemigroup:
         """Truncated Hilbert series: sum of q^k over members k <= n."""
         if n < 0:
             return LaurentPoly()
+        if n > SIZE_MAX:
+            raise TooLarge(f"Hilbert truncation degree {n} > {SIZE_MAX}")
         return LaurentPoly({k: 1 for k in range(n + 1) if self.contains(k)})
+
+    def class_counts(self, n: int) -> tuple[int, ...]:
+        """counts[r] = the number of gaps congruent to r mod n, memoized per n.  Counted
+        from the gap list, never from the Apery set, so that a check of these counts
+        against Apery floors compares two independent routes."""
+        if n < 1:
+            raise ValueError("modulus must be >= 1")
+        if n > SIZE_MAX:
+            raise TooLarge(f"modulus {n} > {SIZE_MAX}")
+        if n not in self._class_counts:
+            tally = [0] * n
+            for g in self.gaps:
+                tally[g % n] += 1
+            self._class_counts[n] = tuple(tally)
+        return self._class_counts[n]
 
     def gap_poly_from_apery(self, s: int) -> LaurentPoly:
         """Gap polynomial reassembled from the Apéry set of s.
@@ -197,14 +218,12 @@ class NumericalSemigroup:
     def genus_quotient_trig(self, d: int) -> int:
         """Genus of S/d via the root-of-unity average of the gap polynomial.
 
-        (1/d) * sum_k C_S(e^{2*pi*i*k/d}) picks out the gaps divisible by d;
-        computed exactly as a multisection term count.
+        (1/d) * sum_k C_S(e^{2*pi*i*k/d}) picks out the gaps divisible by d,
+        so it is the class-0 count of class_counts(d), taken from the gap list.
         """
         if d < 1:
             raise ValueError("d must be >= 1")
-        count = self.gap_poly().multisection(d, 0).evaluate(Fraction(1))
-        assert count == int(count)
-        return int(count)
+        return self.class_counts(d)[0]
 
     def genus_quotient_apery(self, d: int, s: int) -> int:
         """Genus of S/d as a floor sum over the Apéry set of d*s.
@@ -220,10 +239,10 @@ class NumericalSemigroup:
         return sum(ap[(d * i) % (d * s)] // (d * s) for i in range(1, s))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def torus_semigroup(a: int, b: int) -> NumericalSemigroup:
-    """The semigroup generated by a coprime pair.  Cached: the identity
-    checkers revisit the same pair many times."""
+    """The semigroup generated by a coprime pair.  Cached (every coprime pair
+    with b <= 58): the identity checkers revisit the same pair many times."""
     require_coprime(a, b)
     return NumericalSemigroup.from_generators([a, b])
 

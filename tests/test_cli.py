@@ -62,6 +62,11 @@ class TestSemigroupCommand:
         assert obj["gap_poly"] == {"terms": [[1, "1/1"], [2, "1/1"], [4, "1/1"], [7, "1/1"]]}
         assert obj["quotient"]["genus"] == 2
 
+    @pytest.mark.parametrize("flag", ["--hilbert", "--apery"])
+    def test_unbounded_input_refused(self, capsys, deadline, flag):
+        code, out, err = run_cli(capsys, "semigroup", "--pair", "3,5", flag, str(10**12))
+        assert_one_line_error(code, out, err, str(10**12))
+
     def test_polynomials_text(self, capsys):
         code, out, _ = run_cli(capsys, "semigroup", "--pair", "2,3", "--semigroup-poly", "--hilbert", "5")
         assert code == 0

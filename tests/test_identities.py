@@ -1,20 +1,27 @@
+import importlib
 import json
+import pkgutil
 import random
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sdlab.dedekind import apostol_bernoulli, mirimanoff
 from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
+import sdlab
 from sdlab.identities import (
     CATALOG,
     IDENTITY_IDS,
     PROP2_B_MAX,
     PROP2_B_MAX_N1,
     PROP2_N_MAX,
+    IdentityReport,
     SuiteRanges,
+    _gap_root_values,
+    _prop2_kernels,
     _prop2_rhs,
     check_cor510,
     check_eq1,
@@ -31,6 +38,7 @@ from sdlab.identities import (
     check_sawtooth_poly,
     coprime_pairs,
     random_semigroups,
+    report_to_obj,
     reports_to_csv,
     reports_to_json,
     run_suite,
@@ -169,6 +177,66 @@ class TestProp2:
             r = check_prop2(a, b, 3, 1)
             assert r.verdict == "pass"
             assert r.residual <= 1e-8 * (1 + voronoi_sum(a, b, 3, 1))
+
+
+class TestCaches:
+    def test_every_lru_cache_is_bounded(self):
+        found = {}
+        for info in pkgutil.iter_modules(sdlab.__path__):
+            mod = importlib.import_module(f"sdlab.{info.name}")
+            for name, obj in vars(mod).items():
+                if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                    found[name] = obj.cache_parameters()["maxsize"]
+        assert {"roots_of_unity", "_bernoulli_numbers", "torus_semigroup", "_gap_root_values",
+                "_prop2_kernels"} <= set(found)
+        assert all(size is not None for size in found.values()), found
+
+    def test_pairs_max_40_run_fits(self):
+        pairs = len(coprime_pairs(40))
+        assert torus_semigroup.cache_parameters()["maxsize"] >= pairs
+        assert _gap_root_values.cache_parameters()["maxsize"] >= pairs
+        assert _prop2_kernels.cache_parameters()["maxsize"] >= (PROP2_B_MAX_N1 - 2) * 4
+
+
+def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
+    """S with g missing from its gap list but not from its membership table,
+    so that a gap count and an Apery floor can disagree."""
+    assert g in S.gaps
+    return NumericalSemigroup(S.generators, S.frobenius, tuple(x for x in S.gaps if x != g), S._table)
+
+
+class TestCountRoutesNotVacuous:
+    """The exact count routes must see a gap list that disagrees with the
+    membership table: counts taken from the Apery set would hide it."""
+
+    def test_prop1_eq3(self):
+        S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
+        assert check_prop1(S, 4, 2, eq=3).verdict == "fail"
+        assert check_prop1(S, 4, 1, eq=3).verdict == "pass"
+
+    @pytest.fixture
+    def broken_3_5(self, monkeypatch):
+        # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
+        # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide
+        bad = drop_gap(torus_semigroup(3, 5), 7)
+        monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: bad)
+
+    def test_prop1_eq5(self, broken_3_5):
+        assert check_prop1_ab(3, 5, 4, eq=5).verdict == "fail"
+        assert check_prop1_ab(3, 5, 1, eq=5).verdict == "pass"
+
+    def test_prop5_exact(self, broken_3_5):
+        assert check_prop5(3, 5, mode="exact").verdict == "fail"
+
+    def test_prop6_exact(self, broken_3_5):
+        assert check_prop6(3, 5, mode="exact").verdict == "fail"
+
+    def test_genus_quotient_trig(self):
+        S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
+        brute = sum(1 for x in range(1, S.conductor + 1) if not S.contains(2 * x))
+        assert brute == 3
+        assert S.genus_quotient_trig(2) != brute
+        assert check_prop7(S, 2).verdict == "fail"
 
 
 class TestProp3:
@@ -399,6 +467,28 @@ class TestSerialization:
         reports = self.reports()
         with_timings = json.loads(reports_to_json(reports, include_timings=True))
         assert any(obj["elapsed_ms"] > 0 for obj in with_timings)
+
+
+_NOTES = st.one_of(st.none(), st.text(), st.sampled_from(['say "hi"', "back\\slash", "two\nlines", "caf\u00e9", "astral \U0001f600"]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e300]))
+_REPORTS = st.builds(
+    IdentityReport,
+    identity_id=st.text(),
+    params=st.dictionaries(st.text(min_size=1, max_size=4), st.integers(), max_size=4),
+    mode=st.sampled_from(["exact", "float"]),
+    residual=_FLOATS,
+    verdict=st.sampled_from(["pass", "fail", "expected-discrepancy"]),
+    elapsed_ms=_FLOATS,
+    notes=_NOTES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REPORTS, max_size=4), st.booleans())
+@example([], False)
+def test_json_writer_matches_json_dumps(reports, include_timings):
+    objs = [report_to_obj(r, include_timings) for r in reports]
+    assert reports_to_json(reports, include_timings) == json.dumps(objs, indent=2, sort_keys=True) + "\n"
 
 
 class TestRandomSemigroups:

@@ -3,9 +3,10 @@ from math import gcd
 
 import pytest
 
-from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember
+from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge
 from sdlab.polyring import LaurentPoly, ONE, monomial
 from sdlab.semigroup import (
+    SIZE_MAX,
     NumericalSemigroup,
     alexander_closed_form,
     torus_gaps_mordell,
@@ -210,6 +211,42 @@ class TestRestrictedDoubleSum:
                 ) * (ONE - monomial(b))
                 den = (ONE - monomial(a)) * (ONE - monomial(b)) * (ONE - monomial(1))
                 assert rational_eq(lhs, ONE, num, den)
+
+
+class TestClassCounts:
+    def test_against_gap_list(self):
+        rng = random.Random(16)
+        for _ in range(8):
+            S = NumericalSemigroup.from_generators(random_generators(rng))
+            for n in range(1, 14):
+                assert S.class_counts(n) == tuple(sum(1 for g in S.gaps if g % n == r) for r in range(n))
+
+    def test_memoized_and_checked(self):
+        S = torus_semigroup(3, 5)
+        assert S.class_counts(5) == (0, 1, 2, 0, 1)
+        assert S.class_counts(5) is S.class_counts(5)
+        with pytest.raises(ValueError):
+            S.class_counts(0)
+
+
+class TestSizeLimit:
+    def test_huge_inputs_refused_before_work(self, deadline):
+        S = torus_semigroup(3, 5)
+        with pytest.raises(TooLarge):
+            S.hilbert_trunc(10**12)
+        with pytest.raises(TooLarge):
+            S.apery(10**12)
+        with pytest.raises(TooLarge):
+            S.genus_quotient_trig(10**12)
+
+    def test_refused_just_above_the_limit(self):
+        S = torus_semigroup(3, 5)
+        with pytest.raises(TooLarge):
+            S.hilbert_trunc(SIZE_MAX + 1)
+        with pytest.raises(TooLarge):
+            S.apery(SIZE_MAX + 1)
+        with pytest.raises(TooLarge):
+            S.class_counts(SIZE_MAX + 1)
 
 
 class TestQuotient:
