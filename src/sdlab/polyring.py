@@ -293,10 +293,7 @@ def _render(items) -> str:
         else:
             term = f"{cs}*{m}"
         parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return parts[0] + "".join(f" - {term[1:]}" if term.startswith("-") else f" + {term}" for term in parts[1:])
 
 
 ZERO = LaurentPoly()

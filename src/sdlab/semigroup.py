@@ -2,21 +2,50 @@
 
 A numerical semigroup is a subset of the nonnegative integers that contains 0,
 is closed under addition, and misses only finitely many integers (its gaps).
-Everything downstream — Apéry sets, the gap polynomial, the Hilbert series,
-the semigroup (Alexander) polynomial, quotients S/d — is computed from an
-exact membership table built once per semigroup.
+It is held as its Apéry set ap with respect to its least generator m: ap[k] is
+the least member congruent to k mod m, so x is a member iff x >= ap[x % m], the
+Frobenius number is max(ap) - m and the genus sum(a // m for a in ap) (Selmer
+1977).  The gap list and gap polynomial are listed from ap on first use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 from .errors import EmptyGenerators, GcdNotOne, InexactDivision, NotAMember, TooLarge, require_coprime
-from .polyring import ONE, LaurentPoly, geom_sum, monomial
+from .polyring import ONE, LaurentPoly, monomial
 
-SIZE_MAX = 10**6  # largest Apery or class-count modulus and Hilbert degree: larger are refused before any work
+SIZE_MAX = 10**6  # largest least generator, Apery modulus, walked genus or member range; larger are refused before any work
+
+
+def _bound(n: int, what: str) -> None:
+    if n > SIZE_MAX:
+        raise TooLarge(f"{what} {n} > {SIZE_MAX}")
+
+
+def _round_robin(gens, s: int) -> tuple[int, ...]:
+    """ap[k] = the least member of <gens, s> congruent to k mod s, by the round
+    robin of Böcker and Lipták (Algorithmica 2007): each generator g lowers ap
+    along the cycles k -> k + g mod s (the classes mod gcd(g, s)), each walked
+    once from its least entry, which g cannot lower."""
+    ap = [0] + [float("inf")] * (s - 1)
+    for g in (g for g in gens if g % s):
+        cycles = gcd(g, s)
+        for p in range(cycles):
+            k = min(range(p, s, cycles), key=ap.__getitem__)
+            reach = ap[k]
+            for _ in range(s // cycles - 1):
+                k = (k + g) % s
+                reach += g
+                if ap[k] < reach:
+                    reach = ap[k]
+                else:
+                    ap[k] = reach
+    return tuple(ap)
 
 
 @dataclass(frozen=True)
@@ -48,57 +77,49 @@ class AperySet:
 
 
 class NumericalSemigroup:
-    """Immutable numerical semigroup with a precomputed membership table."""
+    """Immutable numerical semigroup, held as its Apéry set `ap` with respect
+    to its least nonzero member, the multiplicity m = len(ap)."""
 
-    __slots__ = ("generators", "frobenius", "gaps", "_table", "_gap_poly_cache", "_class_counts")
+    __slots__ = ("generators", "ap", "multiplicity", "frobenius", "genus", "_gaps", "_gap_poly_cache", "_class_counts")
 
-    def __init__(self, generators: tuple[int, ...], frobenius: int, gaps: tuple[int, ...], table: list[bool]):
-        # internal; use from_generators
+    def __init__(self, generators: tuple[int, ...], ap: tuple[int, ...], gaps: tuple[int, ...] | None = None):
+        # internal; use from_generators.  `gaps`, when given, replaces the list made from ap
         self.generators = generators
-        self.frobenius = frobenius
-        self.gaps = gaps
-        self._table = table
+        self.ap = ap
+        self.multiplicity = m = len(ap)
+        self.frobenius = max(ap) - m
+        self.genus = sum(a // m for a in ap)
+        self._gaps = gaps
         self._gap_poly_cache = None
         self._class_counts = {}
 
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
-        gens = sorted(set(int(g) for g in gens))
+        gens = tuple(sorted(set(int(g) for g in gens)))
         if not gens:
             raise EmptyGenerators("at least one generator required")
         if gens[0] < 1:
             raise ValueError("generators must be positive")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
-        if g != 1:
-            raise GcdNotOne(f"gcd{tuple(gens)} = {g} != 1")
-        # Schur: the Frobenius number is < min*max, so this table always
-        # reaches past the conductor.
-        bound = gens[0] * gens[-1] + gens[-1]
-        table = [False] * (bound + 1)
-        table[0] = True
-        for x in range(1, bound + 1):
-            table[x] = any(x >= g_ and table[x - g_] for g_ in gens)
-        gaps = tuple(x for x in range(1, bound + 1) if not table[x])
-        frobenius = gaps[-1] if gaps else -1
-        return cls(tuple(gens), frobenius, gaps, table)
+        if (g := gcd(*gens)) != 1:
+            raise GcdNotOne(f"gcd{gens} = {g} != 1")
+        _bound(gens[0], "least generator")
+        return cls(gens, _round_robin(gens, gens[0]))
 
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x < len(self._table):
-            return self._table[x]
-        return True  # beyond the table means beyond the conductor
+        return x >= self.ap[x % self.multiplicity]  # ap[k] >= 0, so x < 0 is refused too
 
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     @property
-    def genus(self) -> int:
-        return len(self.gaps)
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps in ascending order, listed on first use."""
+        if self._gaps is None:
+            _bound(self.genus, "genus")
+            ap, m = self.ap, self.multiplicity
+            self._gaps = tuple(x for x in range(1, self.frobenius + 1) if x < ap[x % m])
+        return self._gaps
 
     @property
     def conductor(self) -> int:
@@ -106,12 +127,11 @@ class NumericalSemigroup:
 
     def members(self, limit: int):
         """Members in [0, limit]."""
+        _bound(limit, "member range limit")
         return [x for x in range(limit + 1) if self.contains(x)]
 
     def __eq__(self, other):
-        if isinstance(other, NumericalSemigroup):
-            return self.gaps == other.gaps
-        return NotImplemented
+        return self.ap == other.ap if isinstance(other, NumericalSemigroup) else NotImplemented
 
     __hash__ = None
 
@@ -119,28 +139,26 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.generators}"
 
     def to_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "frobenius": self.frobenius,
-            "genus": self.genus,
-            "gaps": list(self.gaps),
-        }
+        return {"generators": list(self.generators), "frobenius": self.frobenius, "genus": self.genus,
+                "gaps": list(self.gaps)}
 
     # -- Apéry machinery ------------------------------------------------------
 
     def apery(self, s: int) -> AperySet:
         """Least member of each residue class mod s; s must be a nonzero member."""
-        if s > SIZE_MAX:
-            raise TooLarge(f"Apery modulus {s} > {SIZE_MAX}")
+        _bound(s, "Apery modulus")
         if s <= 0 or not self.contains(s):
             raise NotAMember(f"{s} is not a nonzero member")
-        elements = []
+        if s == self.multiplicity:
+            return AperySet(s, self.ap)
+        _bound(self.genus, "genus")  # the scan below steps past every gap once
+        m, ap, least = self.multiplicity, self.ap, []
         for k in range(s):
             x = k
-            while not self.contains(x):
+            while x < ap[x % m]:
                 x += s
-            elements.append(x)
-        return AperySet(s, tuple(elements))
+            least.append(x)
+        return AperySet(s, tuple(least))
 
     def gap_poly(self) -> LaurentPoly:
         """Sum of q^g over the gaps g."""
@@ -155,11 +173,7 @@ class NumericalSemigroup:
 
     def hilbert_trunc(self, n: int) -> LaurentPoly:
         """Truncated Hilbert series: sum of q^k over members k <= n."""
-        if n < 0:
-            return LaurentPoly()
-        if n > SIZE_MAX:
-            raise TooLarge(f"Hilbert truncation degree {n} > {SIZE_MAX}")
-        return LaurentPoly({k: 1 for k in range(n + 1) if self.contains(k)})
+        return LaurentPoly(dict.fromkeys(self.members(n), 1))
 
     def class_counts(self, n: int) -> tuple[int, ...]:
         """counts[r] = the number of gaps congruent to r mod n, memoized per n.  Counted
@@ -167,13 +181,10 @@ class NumericalSemigroup:
         against Apery floors compares two independent routes."""
         if n < 1:
             raise ValueError("modulus must be >= 1")
-        if n > SIZE_MAX:
-            raise TooLarge(f"modulus {n} > {SIZE_MAX}")
+        _bound(n, "modulus")
         if n not in self._class_counts:
-            tally = [0] * n
-            for g in self.gaps:
-                tally[g % n] += 1
-            self._class_counts[n] = tuple(tally)
+            tally = Counter(g % n for g in self.gaps)
+            self._class_counts[n] = tuple(tally[r] for r in range(n))
         return self._class_counts[n]
 
     def gap_poly_from_apery(self, s: int) -> LaurentPoly:
@@ -183,54 +194,39 @@ class NumericalSemigroup:
         q^k * (1 + q^s + ... + q^{s(floor(a_k/s)-1)}), i.e. exactly the gaps
         k, k+s, ..., a_k - s below the Apéry element a_k.
         """
+        _bound(self.genus, "genus")
         ap = self.apery(s)
-        total = LaurentPoly()
-        for k in range(1, s):
-            total = total + geom_sum(ap[k] // s, step=s).shift(k)
-        return total
+        return LaurentPoly({k + s * i: 1 for k in range(1, s) for i in range(ap[k] // s)})
 
     # -- quotient semigroups ---------------------------------------------------
 
     def quotient(self, d: int) -> "NumericalSemigroup":
-        """S/d = {s >= 0 : d*s in S}.
+        """S/d = {x >= 0 : d*x in S}, with membership read from contains(d*x).
 
-        Membership of the quotient is read straight off this semigroup's table
-        (s is a gap of S/d iff d*s is a gap of S), so no new closure
-        computation is needed.  The stored generating set is the member list
-        of [m, conductor + m] (m the least nonzero member): any larger member
-        x has x - m past the conductor, hence decomposes.  Non-minimal but
-        provably sufficient.
+        Its Apéry set is taken with respect to its least nonzero member m, by
+        scanning each class mod m upwards.  The stored generating set is the
+        member list of [m, conductor + m]: any larger member x has x - m past
+        the conductor, hence decomposes.  Non-minimal but provably sufficient.
         """
         if d < 1:
             raise ValueError("d must be >= 1")
         if d == 1:
             return self
-        q_gaps = tuple(g // d for g in self.gaps if g % d == 0)
-        frobenius = q_gaps[-1] if q_gaps else -1
-        conductor = frobenius + 1
-        m = 1
-        while not self.contains(d * m):
-            m += 1
-        gens = tuple(s for s in range(m, conductor + m + 1) if self.contains(d * s))
-        table = [self.contains(d * s) for s in range(conductor + m + 1)]
-        return NumericalSemigroup(gens, frobenius, q_gaps, table)
+        _bound(self.genus, "genus")  # S/d has at most as many gaps as S
+        m = next(x for x in count(1) if self.contains(d * x))
+        ap = tuple(next(x for x in count(k, m) if self.contains(d * x)) for k in range(m))
+        conductor = max(ap) - m + 1
+        return NumericalSemigroup(tuple(x for x in range(m, conductor + m + 1) if self.contains(d * x)), ap)
 
     def genus_quotient_trig(self, d: int) -> int:
-        """Genus of S/d via the root-of-unity average of the gap polynomial.
-
-        (1/d) * sum_k C_S(e^{2*pi*i*k/d}) picks out the gaps divisible by d,
-        so it is the class-0 count of class_counts(d), taken from the gap list.
-        """
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        """Genus of S/d via the root-of-unity average of the gap polynomial:
+        (1/d) * sum_k C_S(e^{2*pi*i*k/d}) picks out the gaps divisible by d, so
+        it is the class-0 count of class_counts(d), taken from the gap list."""
         return self.class_counts(d)[0]
 
     def genus_quotient_apery(self, d: int, s: int) -> int:
-        """Genus of S/d as a floor sum over the Apéry set of d*s.
-
-        Requires a nonzero s in S/d; then g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s))
-        with a_l the Apéry elements of S with respect to d*s.
-        """
+        """Genus of S/d as a floor sum over the Apéry set a of S with respect to d*s,
+        for a nonzero s in S/d: g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s))."""
         if d < 1:
             raise ValueError("d must be >= 1")
         if s <= 0 or not self.contains(d * s):
@@ -241,10 +237,13 @@ class NumericalSemigroup:
 
 @lru_cache(maxsize=1024)
 def torus_semigroup(a: int, b: int) -> NumericalSemigroup:
-    """The semigroup generated by a coprime pair.  Cached (every coprime pair
+    """The semigroup generated by a coprime pair, in closed form: with m < n, the
+    Apéry set of m holds n*j in class n*j mod m.  Cached (every coprime pair
     with b <= 58): the identity checkers revisit the same pair many times."""
     require_coprime(a, b)
-    return NumericalSemigroup.from_generators([a, b])
+    m, n = min(a, b), max(a, b)
+    _bound(m, "least generator")
+    return NumericalSemigroup(tuple(sorted({a, b})), tuple(sorted(range(0, m * n, n), key=lambda x: x % m)))
 
 
 def torus_gaps_mordell(a: int, b: int) -> list[int]:

@@ -1,9 +1,13 @@
 import json
+from itertools import chain
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdlab.cli import main
 from sdlab.identities import IDENTITY_IDS
+from sdlab.semigroup import SIZE_MAX
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +70,11 @@ class TestSemigroupCommand:
     def test_unbounded_input_refused(self, capsys, deadline, flag):
         code, out, err = run_cli(capsys, "semigroup", "--pair", "3,5", flag, str(10**12))
         assert_one_line_error(code, out, err, str(10**12))
+
+    def test_genus_past_the_limit_refused(self, capsys, deadline):
+        # the Apery set is built; the gap listing that every output holds is refused
+        code, out, err = run_cli(capsys, "semigroup", "--pair", "100000,100001")
+        assert_one_line_error(code, out, err, "genus")
 
     def test_polynomials_text(self, capsys):
         code, out, _ = run_cli(capsys, "semigroup", "--pair", "2,3", "--semigroup-poly", "--hilbert", "5")
@@ -248,3 +257,70 @@ class TestTableCommand:
         missing = tmp_path / "missing" / "table.csv"
         code, out, err = run_cli(capsys, "table", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))
+
+
+# -- fuzzing main(argv) in-process ------------------------------------------------
+
+# Small values, and values that a size bound must refuse before any work.
+# A generator of 10**12 or more is refused beside any other but 1 (the genus
+# passes SIZE_MAX), and so is the pair 100000,100001.  Values such as 10**5
+# or SIZE_MAX + 1 beside a small generator are left out of the generator
+# lists: they give a genus at or under SIZE_MAX, which is allowed and takes
+# seconds to list.
+HUGE = [10**12, 2**64, -(10**30)]
+INTS = st.one_of(st.integers(-3, 40), st.sampled_from([100000, SIZE_MAX + 1, *HUGE]))
+GENERATORS = st.one_of(
+    st.lists(st.one_of(st.integers(1, 40), st.integers(-3, 40), st.sampled_from(HUGE)), max_size=4).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["100000,100001", f"{SIZE_MAX + 1},{SIZE_MAX + 2}", "4,6", "1,1"]),
+)
+GARBAGE = st.one_of(
+    st.sampled_from(["", "x", "-", "--", "1.5", "3,,5", "nan", "--bogus", "--format", "\u0663", "-1"]),
+    st.text(max_size=4),
+)
+FORMAT = st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv", "xml"]))
+SMALL = st.integers(-2, 6).map(str)
+
+
+def argv_of(command, head, flags):
+    return st.tuples(head, st.lists(st.one_of(*flags, st.tuples(GARBAGE)), max_size=4)).map(
+        lambda t: [command, *t[0], *chain.from_iterable(t[1])])
+
+
+ARGV = st.one_of(
+    argv_of("semigroup", st.tuples(st.sampled_from(["--gens", "--pair"]), GENERATORS), [
+        st.tuples(st.sampled_from(["--apery", "--hilbert", "--quotient"]), INTS.map(str)),
+        st.tuples(st.sampled_from(["--gap-poly", "--semigroup-poly"])),
+        FORMAT,
+    ]),
+    # a and b stay small: the defining sums take O(b) steps, with no bound on b
+    argv_of("dedekind", st.tuples(st.integers(-3, 30).map(str), st.integers(-3, 30).map(str)), [
+        st.tuples(st.sampled_from(["--sum", "--carlitz", "--zolotarev", "--sawtooth-poly", "--floor-sum"])),
+        st.tuples(st.just("--voronoi"), SMALL, SMALL),
+        FORMAT,
+    ]),
+    argv_of("table", st.tuples(st.just("--pairs-max"), st.integers(-3, 9).map(str)), [FORMAT]),
+    # the sweep sizes stay small for the same reason
+    argv_of("verify", st.tuples(st.just("--pairs-max"), st.integers(-3, 6).map(str)), [
+        st.tuples(st.sampled_from(["--semigroups", "--member-max", "--d-max"]), SMALL),
+        st.tuples(st.just("--seed"), INTS.map(str)),
+        st.tuples(st.just("--identity"), st.one_of(st.sampled_from(IDENTITY_IDS), GARBAGE)),
+        st.tuples(st.just("--timings")),
+        FORMAT,
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV)
+def test_fuzzed_argv_exits_cleanly(capsys, deadline, argv):
+    """Any argument list ends in exit 0, 1 or 2 without a traceback, within the
+    deadline, which restarts for each case."""
+    deadline()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

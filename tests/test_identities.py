@@ -199,15 +199,15 @@ class TestCaches:
 
 
 def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
-    """S with g missing from its gap list but not from its membership table,
-    so that a gap count and an Apery floor can disagree."""
+    """S with g missing from its gap list but not from its Apery set, so that
+    a gap count and an Apery floor can disagree."""
     assert g in S.gaps
-    return NumericalSemigroup(S.generators, S.frobenius, tuple(x for x in S.gaps if x != g), S._table)
+    return NumericalSemigroup(S.generators, S.ap, tuple(x for x in S.gaps if x != g))
 
 
 class TestCountRoutesNotVacuous:
     """The exact count routes must see a gap list that disagrees with the
-    membership table: counts taken from the Apery set would hide it."""
+    Apery set: counts taken from the Apery set would hide it."""
 
     def test_prop1_eq3(self):
         S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)

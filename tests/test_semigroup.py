@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge
 from sdlab.polyring import LaurentPoly, ONE, monomial
@@ -247,6 +249,32 @@ class TestSizeLimit:
             S.apery(SIZE_MAX + 1)
         with pytest.raises(TooLarge):
             S.class_counts(SIZE_MAX + 1)
+        with pytest.raises(TooLarge):
+            S.members(SIZE_MAX + 1)
+
+    @pytest.mark.parametrize("gens", [[SIZE_MAX + 1, SIZE_MAX + 2], [10**12, 10**12 + 1, 10**12 + 3]])
+    def test_least_generator_refused(self, deadline, gens):
+        with pytest.raises(TooLarge):
+            NumericalSemigroup.from_generators(gens)
+        with pytest.raises(TooLarge):
+            torus_semigroup(*gens[:2])
+
+    @pytest.mark.parametrize("build", [lambda: torus_semigroup(100000, 100001),
+                                       lambda: NumericalSemigroup.from_generators([100000, 100001])],
+                             ids=["closed-form", "generators"])
+    def test_genus_past_the_limit(self, deadline, build):
+        # the invariants read off the Apery set still answer; nothing that
+        # lists or walks the gaps starts
+        S = build()
+        assert S.genus == 99999 * 100000 // 2 > SIZE_MAX
+        assert S.frobenius == 100000 * 100001 - 100000 - 100001
+        assert S.contains(S.frobenius + 1) and not S.contains(S.frobenius)
+        assert max(S.apery(100000)) - 100000 == S.frobenius
+        for listing in (lambda: S.gaps, S.gap_poly, S.to_dict, lambda: S.quotient(2), lambda: S.apery(100001),
+                        lambda: S.class_counts(7), lambda: S.gap_poly_from_apery(100000),
+                        lambda: S.members(10**12)):
+            with pytest.raises(TooLarge):
+                listing()
 
 
 class TestQuotient:
@@ -302,3 +330,42 @@ class TestFrobeniusConsistency:
             S = torus_semigroup(a, b)
             assert S.frobenius == a * b - a - b
             assert max(S.apery(b)) - b == S.frobenius
+
+
+# -- properties against the brute-force closure ------------------------------------
+
+GENERATORS = st.lists(st.integers(1, 60), min_size=2, max_size=4).filter(lambda gens: gcd(*gens) == 1)
+
+
+@settings(deadline=None)
+@given(gens=GENERATORS)
+def test_invariants_match_closure(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    bound = min(gens) * max(gens) + max(gens)
+    members = closure_members(gens, bound)
+    gaps = closure_gaps(gens)
+    assert [x for x in range(-3, bound + 1) if S.contains(x)] == sorted(members)
+    assert list(S.gaps) == gaps
+    assert S.frobenius == (gaps[-1] if gaps else -1)
+    assert S.genus == len(gaps)
+
+
+@settings(deadline=None)
+@given(gens=GENERATORS)
+def test_apery_sets_match_closure(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    members = sorted(closure_members(gens, min(gens) * max(gens) + 2 * max(gens)))
+    for g in set(gens):
+        least = {}
+        for x in members:
+            least.setdefault(x % g, x)
+        assert list(S.apery(g)) == [least[k] for k in range(g)]
+
+
+@settings(deadline=None)
+@given(gens=GENERATORS)
+def test_quotient_gaps_match_closure(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    gaps = closure_gaps(gens)
+    for d in range(1, 7):
+        assert list(S.quotient(d).gaps) == [g // d for g in gaps if g % d == 0]
