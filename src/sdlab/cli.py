@@ -24,7 +24,19 @@ from .dedekind import (
 )
 from .errors import SdlabError
 from .identities import CATALOG, SuiteRanges, reports_to_csv, reports_to_json, run_suite, summarize
-from .semigroup import NumericalSemigroup, torus_semigroup
+from .semigroup import NumericalSemigroup, _bound, torus_semigroup
+
+
+# Largest sizes the commands sweep over; a larger one is refused with one
+# `error:` line (exit 2) before any work.  The number of `verify` checks grows
+# with the square of --member-max, and a --d-max check takes Apery sets of up
+# to 20 * d; `dedekind` sums over k < b.  One size at its limit, the others at
+# their defaults, takes a few seconds; the three `verify` sizes multiply.
+SEMIGROUPS_MAX = 1000  # sdlab verify --semigroups
+MEMBER_MAX_LIMIT = 100  # sdlab verify --member-max
+D_MAX_LIMIT = 100  # sdlab verify --d-max
+DEDEKIND_B_MAX = 10**5  # sdlab dedekind: the modulus b (and a, for --floor-sum, which sums over k < a)
+VORONOI_EXP_MAX = 100  # sdlab dedekind --voronoi M N: each exponent
 
 
 def _fmt_float(x: float) -> str:
@@ -70,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dedekind", help="Dedekind sums and floor-sum polynomials")
     pd.add_argument("a", type=int)
-    pd.add_argument("b", type=int)
+    pd.add_argument("b", type=int, help=f"modulus, at most {DEDEKIND_B_MAX}")
     pd.add_argument("--sum", action="store_true", help="s(a,b) by every route")
-    pd.add_argument("--voronoi", nargs=2, type=int, metavar=("M", "N"), help="V_{M,N}(a,b)")
+    pd.add_argument("--voronoi", nargs=2, type=int, metavar=("M", "N"),
+                    help=f"V_{{M,N}}(a,b), exponents at most {VORONOI_EXP_MAX}")
     pd.add_argument("--carlitz", action="store_true", help="the polynomial c(q,t;a,b)")
     pd.add_argument("--zolotarev", action="store_true", help="the permutation k -> a*k mod b")
     pd.add_argument("--sawtooth-poly", action="store_true", help="sawtooth generating polynomial")
@@ -85,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                         formatter_class=argparse.RawDescriptionHelpFormatter,
                         epilog=f"identity ids:\n{catalog}")
     pv.add_argument("--pairs-max", type=int, default=20, help="largest b in coprime-pair sweeps (0: empty run)")
-    pv.add_argument("--semigroups", type=int, default=6, help="number of random semigroups")
-    pv.add_argument("--member-max", type=int, default=12, help="largest Apery modulus on random semigroups")
-    pv.add_argument("--d-max", type=int, default=8, help="largest quotient divisor")
+    pv.add_argument("--semigroups", type=int, default=6, help=f"number of random semigroups (at most {SEMIGROUPS_MAX})")
+    pv.add_argument("--member-max", type=int, default=12,
+                    help=f"largest Apery modulus on random semigroups (at most {MEMBER_MAX_LIMIT})")
+    pv.add_argument("--d-max", type=int, default=8, help=f"largest quotient divisor (at most {D_MAX_LIMIT})")
     pv.add_argument("--identity", action="append", default=[], metavar="ID",
                     help="restrict to ids with this prefix, listed below (no match is an error)")
     pv.add_argument("--seed", type=int, default=0)
@@ -163,6 +177,11 @@ def cmd_semigroup(args) -> int:
 
 def cmd_dedekind(args) -> int:
     a, b = args.a, args.b
+    _bound(b, "b", DEDEKIND_B_MAX)
+    if args.floor_sum:
+        _bound(a, "a (--floor-sum)", DEDEKIND_B_MAX)
+    for exponent in args.voronoi or ():
+        _bound(exponent, "--voronoi exponent", VORONOI_EXP_MAX)
     wants_nothing = not (args.sum or args.voronoi or args.carlitz or args.zolotarev
                          or args.sawtooth_poly or args.floor_sum)
     out = {"a": a, "b": b}
@@ -214,6 +233,9 @@ def _output(path: str | None):
 
 
 def cmd_verify(args) -> int:
+    _bound(args.semigroups, "--semigroups", SEMIGROUPS_MAX)
+    _bound(args.member_max, "--member-max", MEMBER_MAX_LIMIT)
+    _bound(args.d_max, "--d-max", D_MAX_LIMIT)
     ranges = SuiteRanges(
         pairs_max=args.pairs_max,
         semigroups=args.semigroups,

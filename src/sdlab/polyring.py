@@ -233,30 +233,36 @@ class LaurentPoly(_Sparse):
     # -- division ----------------------------------------------------------
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other; raises InexactDivision on a remainder."""
+        """Exact quotient self / other; raises InexactDivision on a remainder.
+
+        Sparse long division from the top down: each quotient term subtracts
+        itself times the divisor's nonzero terms from a dict, so the cost is
+        (span of the quotient) x (terms of the divisor), linear for 1 - q^a.
+        Under a leading coefficient of 1 or -1, int inputs give int quotients;
+        other leads divide as Fractions (c / lead on two ints is a float).
+        """
         if not isinstance(other, LaurentPoly) or other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return ZERO
-        fv, gv = self.valuation(), other.valuation()
-        num = _dense(self._terms, fv, self.degree())
-        den = _dense(other._terms, gv, other.degree())
-        n, m = len(num) - 1, len(den) - 1
-        if n < m:
+        top = other.degree()
+        hi, lo = self.degree(), self.valuation() - other.valuation() + top
+        if hi < lo:
             raise InexactDivision("quotient would not be a polynomial")
-        quo = [Fraction(0)] * (n - m + 1)
-        lead = den[m]
-        for i in range(n - m, -1, -1):
-            c = num[i + m] / lead
+        lead, rem, quo = other._terms[top], dict(self._terms), {}
+        unit = lead in (1, -1)
+        rest = [(e - top, -d) for e, d in other._terms.items() if e != top]
+        for e in range(hi, lo - 1, -1):  # e: the remainder's leading exponent
+            c = rem.pop(e, 0)
             if c:
-                quo[i] = c
-                for j, d in enumerate(den):
-                    if d:
-                        num[i + j] -= c * d
-        if any(num):
+                c = quo[e - top] = c * lead if unit else Fraction(c) / lead
+                for k, d in rest:
+                    s = rem.pop(e + k, 0) + c * d
+                    if s:
+                        rem[e + k] = s
+        if rem:
             raise InexactDivision("nonzero remainder")
-        shift = fv - gv
-        return LaurentPoly._raw({i + shift: c for i, c in enumerate(quo) if c})
+        return LaurentPoly._raw(quo)
 
     # -- serialization ------------------------------------------------------
 
@@ -267,13 +273,6 @@ class LaurentPoly(_Sparse):
     @classmethod
     def from_terms(cls, terms) -> "LaurentPoly":
         return cls((int(e), Fraction(c)) for e, c in terms)
-
-
-def _dense(terms: dict, lo: int, hi: int) -> list:
-    out = [Fraction(0)] * (hi - lo + 1)
-    for e, c in terms.items():
-        out[e - lo] = Fraction(c)
-    return out
 
 
 def _render(items) -> str:

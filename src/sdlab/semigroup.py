@@ -22,9 +22,9 @@ from .polyring import ONE, LaurentPoly, monomial
 SIZE_MAX = 10**6  # largest least generator, Apery modulus, walked genus or member range; larger are refused before any work
 
 
-def _bound(n: int, what: str) -> None:
-    if n > SIZE_MAX:
-        raise TooLarge(f"{what} {n} > {SIZE_MAX}")
+def _bound(n: int, what: str, limit: int = SIZE_MAX) -> None:
+    if n > limit:
+        raise TooLarge(f"{what} {n} > {limit}")
 
 
 def _round_robin(gens, s: int) -> tuple[int, ...]:
@@ -269,8 +269,12 @@ def torus_gaps_mordell(a: int, b: int) -> list[int]:
 
 def alexander_closed_form(a: int, b: int) -> LaurentPoly:
     """Alexander polynomial of the (a, b) torus knot:
-    (1 - q^{ab})(1 - q) / ((1 - q^a)(1 - q^b)), computed by exact division."""
+    (1 - q^{ab})(1 - q) / ((1 - q^a)(1 - q^b)), computed by exact division.
+
+    Its degree is twice the genus (a - 1)(b - 1)/2, and a genus above
+    SIZE_MAX is refused with TooLarge before any work."""
     require_coprime(a, b)
+    _bound((a - 1) * (b - 1) // 2, "genus")
     num = (ONE - monomial(a * b)) * (ONE - monomial(1))
     try:
         return num.divexact(ONE - monomial(a)).divexact(ONE - monomial(b))

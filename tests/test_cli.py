@@ -5,7 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdlab.cli import main
+from sdlab.cli import (
+    D_MAX_LIMIT,
+    DEDEKIND_B_MAX,
+    MEMBER_MAX_LIMIT,
+    SEMIGROUPS_MAX,
+    VORONOI_EXP_MAX,
+    main,
+)
 from sdlab.identities import IDENTITY_IDS
 from sdlab.semigroup import SIZE_MAX
 
@@ -124,6 +131,26 @@ class TestDedekindCommand:
         code, _, err = run_cli(capsys, "dedekind", "4", "6", "--sum")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,refused", [
+        (["3", str(DEDEKIND_B_MAX + 1), "--sum"], "b"),
+        (["3", str(DEDEKIND_B_MAX + 1)], "b"),
+        ([str(DEDEKIND_B_MAX + 1), "2", "--floor-sum"], "a (--floor-sum)"),
+        (["3", "5", "--voronoi", "1", str(VORONOI_EXP_MAX + 1)], "--voronoi exponent"),
+        (["3", "5", "--voronoi", str(VORONOI_EXP_MAX + 1), "1"], "--voronoi exponent"),
+    ], ids=["b-sum", "b-default", "a-floor-sum", "voronoi-n", "voronoi-m"])
+    def test_size_past_its_limit_refused(self, capsys, deadline, monkeypatch, argv, refused):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started before the size was checked")
+
+        for name in ("dedekind_sum", "voronoi_sum", "carlitz_floor_sum"):
+            monkeypatch.setattr(f"sdlab.cli.{name}", no_work)
+        code, out, err = run_cli(capsys, "dedekind", *argv)
+        assert_one_line_error(code, out, err, f"error: {refused} ")
+
+    def test_large_a_allowed_without_floor_sum(self, capsys):
+        code, out, _ = run_cli(capsys, "dedekind", str(DEDEKIND_B_MAX + 1), "3", "--sum")
+        assert code == 0
+
 
 class TestVerifyCommand:
     ARGS = ("verify", "--pairs-max", "7", "--semigroups", "1", "--member-max", "6", "--seed", "0")
@@ -215,6 +242,16 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,limit", [("--semigroups", SEMIGROUPS_MAX), ("--member-max", MEMBER_MAX_LIMIT),
+                                            ("--d-max", D_MAX_LIMIT)])
+    def test_sweep_past_its_limit_refused(self, capsys, deadline, monkeypatch, flag, limit):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before the sweep size was checked")
+
+        monkeypatch.setattr("sdlab.cli.run_suite", no_suite)
+        code, out, err = run_cli(capsys, "verify", flag, str(limit + 1))
+        assert_one_line_error(code, out, err, flag, str(limit + 1))
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "verify", "--pairs-max", "3", "--semigroups", "0", "--out", str(missing))
@@ -279,7 +316,11 @@ GARBAGE = st.one_of(
     st.text(max_size=4),
 )
 FORMAT = st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv", "xml"]))
-SMALL = st.integers(-2, 6).map(str)
+
+
+def small_or_over(small, limit):
+    """Values that run quickly, or that the limit must refuse before any work."""
+    return st.one_of(small, st.sampled_from([limit + 1, *HUGE])).map(str)
 
 
 def argv_of(command, head, flags):
@@ -293,16 +334,21 @@ ARGV = st.one_of(
         st.tuples(st.sampled_from(["--gap-poly", "--semigroup-poly"])),
         FORMAT,
     ]),
-    # a and b stay small: the defining sums take O(b) steps, with no bound on b
-    argv_of("dedekind", st.tuples(st.integers(-3, 30).map(str), st.integers(-3, 30).map(str)), [
+    # a and b are small or past DEDEKIND_B_MAX: the sums take O(b) steps, and
+    # O(a) for --floor-sum, so values just under the limit take seconds
+    argv_of("dedekind", st.tuples(small_or_over(st.integers(-3, 30), DEDEKIND_B_MAX),
+                                  small_or_over(st.integers(-3, 30), DEDEKIND_B_MAX)), [
         st.tuples(st.sampled_from(["--sum", "--carlitz", "--zolotarev", "--sawtooth-poly", "--floor-sum"])),
-        st.tuples(st.just("--voronoi"), SMALL, SMALL),
+        st.tuples(st.just("--voronoi"), small_or_over(st.integers(-2, 6), VORONOI_EXP_MAX),
+                  small_or_over(st.integers(-2, 6), VORONOI_EXP_MAX)),
         FORMAT,
     ]),
     argv_of("table", st.tuples(st.just("--pairs-max"), st.integers(-3, 9).map(str)), [FORMAT]),
-    # the sweep sizes stay small for the same reason
+    # the sweep sizes are small or past their limits, for the same reason
     argv_of("verify", st.tuples(st.just("--pairs-max"), st.integers(-3, 6).map(str)), [
-        st.tuples(st.sampled_from(["--semigroups", "--member-max", "--d-max"]), SMALL),
+        st.tuples(st.just("--semigroups"), small_or_over(st.integers(-2, 6), SEMIGROUPS_MAX)),
+        st.tuples(st.just("--member-max"), small_or_over(st.integers(-2, 6), MEMBER_MAX_LIMIT)),
+        st.tuples(st.just("--d-max"), small_or_over(st.integers(-2, 6), D_MAX_LIMIT)),
         st.tuples(st.just("--seed"), INTS.map(str)),
         st.tuples(st.just("--identity"), st.one_of(st.sampled_from(IDENTITY_IDS), GARBAGE)),
         st.tuples(st.just("--timings")),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdlab.polyring import (
     BiLaurent,
@@ -18,6 +20,7 @@ from sdlab.polyring import (
     roots_of_unity,
 )
 from sdlab.errors import InexactDivision
+from sdlab.semigroup import alexander_closed_form
 
 from oracles import literal_class_avg, pair_gaps
 
@@ -322,6 +325,63 @@ class TestDivision:
                 (f * g + r).divexact(g)
             checked += 1
         assert checked > 20
+
+    def test_integer_quotient_stays_int(self):
+        # a divisor led by 1 or -1 multiplies instead of dividing
+        for a, b in [(2, 3), (3, 5), (7, 4), (11, 13), (29, 31)]:
+            assert all(type(c) is int for _, c in alexander_closed_form(a, b).items())
+        rng = random.Random(11)
+        for _ in range(100):
+            f = LaurentPoly({rng.randint(-20, 20): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))})
+            g = LaurentPoly({rng.randint(-10, 10): rng.randint(-9, 9) for _ in range(rng.randint(0, 3))})
+            g = g + monomial(11, rng.choice((1, -1)))
+            quotient = (f * g).divexact(g)
+            assert quotient == f
+            assert all(type(c) is int for _, c in quotient.items())
+
+    def test_non_unit_lead_gives_exact_coefficients(self):
+        # c / lead on two ints would be a float; the quotient holds ints or Fractions only
+        q = monomial(1)
+        g = 2 * q + 1
+        for f in (3 * q**2 + 1, q - 5, LaurentPoly({-3: 7, 4: -2})):
+            quotient = (f * g).divexact(g)
+            assert quotient == f
+            assert all(isinstance(c, (int, Fraction)) for _, c in quotient.items())
+        half = (q + 1).divexact(2 * q + 2)
+        assert half == constant(Fraction(1, 2)) and isinstance(half.coeff(0), Fraction)
+        with pytest.raises(InexactDivision):
+            (3 * q**2 + 1).divexact(g)
+
+
+COEFF = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=6)).filter(bool)
+SPARSE = st.dictionaries(st.integers(-40, 40), COEFF, max_size=6).map(LaurentPoly)
+LEAD = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def divisors(draw):
+    """A nonzero divisor whose leading coefficient is drawn from unit and non-unit leads."""
+    rest = draw(SPARSE)
+    top = draw(st.integers(-40, 40)) if rest.is_zero() else rest.degree() + draw(st.integers(1, 30))
+    return rest + monomial(top, draw(LEAD))
+
+
+class TestDivisionProperties:
+    @settings(deadline=None)
+    @given(f=SPARSE, g=divisors())
+    def test_product_divides_back(self, f, g):
+        assert (f * g).divexact(g) == f
+
+    @settings(deadline=None)
+    @given(f=SPARSE, g=divisors(), r=SPARSE.filter(bool))
+    def test_narrow_remainder_raises(self, f, g, r):
+        # a nonzero multiple of g spans at least as much as g, so r is not one
+        if r.degree() - r.valuation() >= g.degree() - g.valuation():
+            r = monomial(r.valuation(), r.coeff(r.valuation()))
+            if len(g) < 2:
+                g = g + monomial(g.valuation() - 1)
+        with pytest.raises(InexactDivision):
+            (f * g + r).divexact(g)
 
 
 class TestSerialization:

@@ -276,6 +276,16 @@ class TestSizeLimit:
             with pytest.raises(TooLarge):
                 listing()
 
+    def test_alexander_past_the_limit(self, deadline):
+        # the degree is twice the genus, 4999950000 here; refused before the product
+        with pytest.raises(TooLarge, match="genus"):
+            alexander_closed_form(100000, 100001)
+        with pytest.raises(TooLarge, match="genus"):
+            alexander_closed_form(10**12, 10**12 + 1)
+        # genus SIZE_MAX + 1, just past the limit
+        with pytest.raises(TooLarge, match="genus"):
+            alexander_closed_form(2, 2 * SIZE_MAX + 3)
+
 
 class TestQuotient:
     def test_examples(self):
