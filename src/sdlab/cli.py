@@ -28,10 +28,12 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 
 
 # Largest sizes the commands sweep over; a larger one is refused with one
-# `error:` line (exit 2) before any work.  The number of `verify` checks grows
-# with the square of --member-max, and a --d-max check takes Apery sets of up
-# to 20 * d; `dedekind` sums over k < b.  One size at its limit, the others at
-# their defaults, takes a few seconds; the three `verify` sizes multiply.
+# `error:` line (exit 2) before any work.  The 970 coprime pairs of --pairs-max
+# 58 fit the 1,024-entry torus_semigroup and _gap_root_values caches (59: 1,027).
+# `verify` checks grow with the square of --member-max, a --d-max check scans
+# 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at
+# its limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
+PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 SEMIGROUPS_MAX = 1000  # sdlab verify --semigroups
 MEMBER_MAX_LIMIT = 100  # sdlab verify --member-max
 D_MAX_LIMIT = 100  # sdlab verify --d-max
@@ -97,11 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the identity verification suite",
                         formatter_class=argparse.RawDescriptionHelpFormatter,
                         epilog=f"identity ids:\n{catalog}")
-    pv.add_argument("--pairs-max", type=int, default=20, help="largest b in coprime-pair sweeps (0: empty run)")
-    pv.add_argument("--semigroups", type=int, default=6, help=f"number of random semigroups (at most {SEMIGROUPS_MAX})")
-    pv.add_argument("--member-max", type=int, default=12,
+    pv.add_argument("--pairs-max", type=int, default=SuiteRanges.pairs_max,
+                    help=f"largest b in coprime-pair sweeps (0: empty run; at most {PAIRS_MAX_LIMIT})")
+    pv.add_argument("--semigroups", type=int, default=SuiteRanges.semigroups,
+                    help=f"number of random semigroups (at most {SEMIGROUPS_MAX})")
+    pv.add_argument("--member-max", type=int, default=SuiteRanges.member_max,
                     help=f"largest Apery modulus on random semigroups (at most {MEMBER_MAX_LIMIT})")
-    pv.add_argument("--d-max", type=int, default=8, help=f"largest quotient divisor (at most {D_MAX_LIMIT})")
+    pv.add_argument("--d-max", type=int, default=SuiteRanges.d_max,
+                    help=f"largest quotient divisor (at most {D_MAX_LIMIT})")
     pv.add_argument("--identity", action="append", default=[], metavar="ID",
                     help="restrict to ids with this prefix, listed below (no match is an error)")
     pv.add_argument("--seed", type=int, default=0)
@@ -233,18 +238,12 @@ def _output(path: str | None):
 
 
 def cmd_verify(args) -> int:
+    _bound(args.pairs_max, "--pairs-max", PAIRS_MAX_LIMIT)
     _bound(args.semigroups, "--semigroups", SEMIGROUPS_MAX)
     _bound(args.member_max, "--member-max", MEMBER_MAX_LIMIT)
     _bound(args.d_max, "--d-max", D_MAX_LIMIT)
-    ranges = SuiteRanges(
-        pairs_max=args.pairs_max,
-        semigroups=args.semigroups,
-        member_max=args.member_max,
-        d_max=args.d_max,
-        prop2_pairs_max=args.pairs_max,
-        prop2_m1_pairs_max=args.pairs_max,
-        identities=tuple(args.identity),
-    )
+    ranges = SuiteRanges(pairs_max=args.pairs_max, semigroups=args.semigroups, member_max=args.member_max,
+                         d_max=args.d_max, identities=tuple(args.identity))
     with _output(args.out) as fh:
         reports = run_suite(ranges, seed=args.seed)
         fh.write(

@@ -106,15 +106,10 @@ def mirimanoff(lam, m: int, b: int):
     if b < 1:
         raise ValueError("b must be >= 1")
     if isinstance(lam, complex):
-        total = 0j
-        power = 1 + 0j
-        for k in range(b):
-            total += (k**m) * power
-            power *= lam
-        return total
-    lam = Fraction(lam)
-    total = Fraction(0)
-    power = Fraction(1)
+        total, power = 0j, 1 + 0j
+    else:
+        lam = Fraction(lam)
+        total, power = Fraction(0), Fraction(1)
     for k in range(b):
         total += (k**m) * power
         power *= lam

@@ -264,7 +264,7 @@ def _prop2_rhs(a: int, b: int, m: int, n: int) -> tuple[complex, complex]:
     return rhs_mir, rhs_ab
 
 
-def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> IdentityReport:
+def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
     """V_{m,n}(a, b) against its root-of-unity expansion, both right-hand forms.
 
     The direct integer sum sum k^m floor(ak/b)^n is compared with
@@ -279,13 +279,11 @@ def check_prop2(a: int, b: int, m: int, n: int, mode: str = "float") -> Identity
     per form.  n = 1 is the same formula with P = C.  The root values come from
     the cache _gap_root_values, the kernel values from the cache _prop2_kernels.
 
-    n = 1 is allowed up to b = 40 at a tighter tolerance; n in [2, 3]
-    requires b <= 12.
+    The check is float only.  n = 1 is allowed up to b = 40 at a tighter
+    tolerance; n in [2, 3] requires b <= 12.
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    if mode != "float":
-        raise ValueError("prop2 is a float-mode checker")
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 1:
@@ -523,15 +521,17 @@ def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
 
 @dataclass(frozen=True)
 class SuiteRanges:
-    """Parameter ranges for run_suite.  pairs_max <= 0 requests an empty run;
-    the prop2 pair ranges are clamped to check_prop2's ceilings."""
+    """Parameter ranges for run_suite; SuiteRanges() is the `sdlab verify`
+    default run, and the CLI's defaults are read from these fields.
+
+    pairs_max <= 0 requests an empty run.  prop2 sweeps the same coprime
+    pairs, clamped to check_prop2's ceilings: b <= PROP2_B_MAX_N1 for n = 1
+    and b <= PROP2_B_MAX for n >= 2."""
 
     pairs_max: int = 20
     semigroups: int = 6
     member_max: int = 12
     d_max: int = 8
-    prop2_pairs_max: int = 12
-    prop2_m1_pairs_max: int = 40
     identities: tuple = ()
 
 
@@ -583,10 +583,10 @@ def _eq6_jobs(ranges, semigroups):
 
 
 def _prop2_jobs(ranges, semigroups):
-    for a, b in coprime_pairs(min(ranges.prop2_m1_pairs_max, PROP2_B_MAX_N1)):
+    for a, b in coprime_pairs(min(ranges.pairs_max, PROP2_B_MAX_N1)):
         for m in range(1, 5):
             yield check_prop2, (a, b, m, 1)
-    for a, b in coprime_pairs(min(ranges.prop2_pairs_max, PROP2_B_MAX)):
+    for a, b in coprime_pairs(min(ranges.pairs_max, PROP2_B_MAX)):
         for m in range(1, 5):
             for n in range(2, PROP2_N_MAX + 1):
                 yield check_prop2, (a, b, m, n)

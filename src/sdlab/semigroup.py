@@ -226,13 +226,16 @@ class NumericalSemigroup:
 
     def genus_quotient_apery(self, d: int, s: int) -> int:
         """Genus of S/d as a floor sum over the Apéry set a of S with respect to d*s,
-        for a nonzero s in S/d: g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s))."""
+        for a nonzero s in S/d: g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s)).
+        Each summed entry is found by scanning its class upwards to a member."""
         if d < 1:
             raise ValueError("d must be >= 1")
-        if s <= 0 or not self.contains(d * s):
+        ds = d * s
+        if s <= 0 or not self.contains(ds):
             raise NotAMember(f"{s} is not a nonzero member of S/{d}")
-        ap = self.apery(d * s)
-        return sum(ap[(d * i) % (d * s)] // (d * s) for i in range(1, s))
+        _bound(ds, "Apery modulus")
+        _bound(self.genus, "genus")  # the scans step past distinct gaps
+        return sum(next(x for x in count(d * i, ds) if self.contains(x)) // ds for i in range(1, s))
 
 
 @lru_cache(maxsize=1024)

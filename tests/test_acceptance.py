@@ -198,9 +198,12 @@ def test_criterion_11_deterministic_reports(tmp_path, capsys):
 
 
 def test_criterion_12_default_suite_runtime():
+    # the default run plus prop2's linear sweep to its ceiling, b = 40: at
+    # least the 8,012 checks this gate timed when SuiteRanges() swept prop2 so
     start = time.perf_counter()
     reports = run_suite(SuiteRanges(), seed=0)
+    prop2 = run_suite(SuiteRanges(pairs_max=40, identities=("prop2",)), seed=0)
     elapsed = time.perf_counter() - start
-    counts = summarize(reports)
-    ok = bool(reports) and counts.get("fail", 0) == 0 and elapsed < 60.0
+    counts, prop2_counts = summarize(reports), summarize(prop2)
+    ok = bool(reports) and counts.get("fail", 0) == 0 and prop2_counts.get("fail", 0) == 0 and elapsed < 60.0
     _report(12, "full default suite passes single-threaded", ok, elapsed)

@@ -9,11 +9,12 @@ from sdlab.cli import (
     D_MAX_LIMIT,
     DEDEKIND_B_MAX,
     MEMBER_MAX_LIMIT,
+    PAIRS_MAX_LIMIT,
     SEMIGROUPS_MAX,
     VORONOI_EXP_MAX,
     main,
 )
-from sdlab.identities import IDENTITY_IDS
+from sdlab.identities import IDENTITY_IDS, SuiteRanges, reports_to_json, run_suite
 from sdlab.semigroup import SIZE_MAX
 
 
@@ -170,6 +171,14 @@ class TestVerifyCommand:
         run_cli(capsys, *self.ARGS, "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_run_is_suite_ranges(self, capsys, tmp_path, seed):
+        # SuiteRanges() describes the run `sdlab verify` makes with no size given
+        out_file = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--seed", str(seed), "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_bytes() == reports_to_json(run_suite(SuiteRanges(), seed=seed)).encode()
+
     def test_csv_and_json_same_content(self, capsys, tmp_path):
         fj, fc = tmp_path / "r.json", tmp_path / "r.csv"
         run_cli(capsys, *self.ARGS, "--out", str(fj))
@@ -242,8 +251,8 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,limit", [("--semigroups", SEMIGROUPS_MAX), ("--member-max", MEMBER_MAX_LIMIT),
-                                            ("--d-max", D_MAX_LIMIT)])
+    @pytest.mark.parametrize("flag,limit", [("--pairs-max", PAIRS_MAX_LIMIT), ("--semigroups", SEMIGROUPS_MAX),
+                                            ("--member-max", MEMBER_MAX_LIMIT), ("--d-max", D_MAX_LIMIT)])
     def test_sweep_past_its_limit_refused(self, capsys, deadline, monkeypatch, flag, limit):
         def no_suite(*args, **kwargs):
             raise AssertionError("the suite ran before the sweep size was checked")
@@ -345,7 +354,7 @@ ARGV = st.one_of(
     ]),
     argv_of("table", st.tuples(st.just("--pairs-max"), st.integers(-3, 9).map(str)), [FORMAT]),
     # the sweep sizes are small or past their limits, for the same reason
-    argv_of("verify", st.tuples(st.just("--pairs-max"), st.integers(-3, 6).map(str)), [
+    argv_of("verify", st.tuples(st.just("--pairs-max"), small_or_over(st.integers(-3, 6), PAIRS_MAX_LIMIT)), [
         st.tuples(st.just("--semigroups"), small_or_over(st.integers(-2, 6), SEMIGROUPS_MAX)),
         st.tuples(st.just("--member-max"), small_or_over(st.integers(-2, 6), MEMBER_MAX_LIMIT)),
         st.tuples(st.just("--d-max"), small_or_over(st.integers(-2, 6), D_MAX_LIMIT)),

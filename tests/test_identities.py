@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sdlab.cli import PAIRS_MAX_LIMIT
 from sdlab.dedekind import apostol_bernoulli, mirimanoff
 from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
@@ -196,6 +197,10 @@ class TestCaches:
         assert torus_semigroup.cache_parameters()["maxsize"] >= pairs
         assert _gap_root_values.cache_parameters()["maxsize"] >= pairs
         assert _prop2_kernels.cache_parameters()["maxsize"] >= (PROP2_B_MAX_N1 - 2) * 4
+        # the largest sweep the CLI allows still builds each pair's semigroup once
+        pairs = len(coprime_pairs(PAIRS_MAX_LIMIT))
+        assert torus_semigroup.cache_parameters()["maxsize"] >= pairs
+        assert _gap_root_values.cache_parameters()["maxsize"] >= pairs
 
 
 def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
@@ -346,8 +351,7 @@ class TestExtraChecks:
 
 class TestSuite:
     def small_ranges(self):
-        return SuiteRanges(pairs_max=7, semigroups=2, member_max=8, d_max=4,
-                           prop2_pairs_max=6, prop2_m1_pairs_max=8)
+        return SuiteRanges(pairs_max=7, semigroups=2, member_max=8, d_max=4)
 
     def test_deterministic(self):
         r1 = run_suite(self.small_ranges(), seed=0)
@@ -377,8 +381,7 @@ class TestSuite:
 
     def test_catalog_ids_are_the_reported_ids(self):
         # seed 0 draws <15, 26, 30> first, so member_max 15 reaches prop1.eq2/eq3
-        reports = run_suite(SuiteRanges(pairs_max=5, semigroups=1, member_max=15, d_max=2,
-                                        prop2_pairs_max=4, prop2_m1_pairs_max=5), seed=0)
+        reports = run_suite(SuiteRanges(pairs_max=5, semigroups=1, member_max=15, d_max=2), seed=0)
         assert sorted({r.identity_id for r in reports}) == sorted(IDENTITY_IDS)
 
     def test_unknown_identity_refused(self):
@@ -429,7 +432,7 @@ class TestCatalog:
 
     def test_prop2_row_stays_under_ceilings(self):
         (row,) = [row for row in CATALOG if row.ids == ("prop2",)]
-        ranges = SuiteRanges(prop2_pairs_max=100, prop2_m1_pairs_max=100)
+        ranges = SuiteRanges(pairs_max=100)
         jobs = [args for _, args in row.jobs(ranges, lambda: [])]
         assert max(b for _, b, _, n in jobs if n == 1) == PROP2_B_MAX_N1
         assert max(b for _, b, _, n in jobs if n > 1) == PROP2_B_MAX
@@ -438,8 +441,7 @@ class TestCatalog:
 
 class TestSerialization:
     def reports(self):
-        return run_suite(SuiteRanges(pairs_max=5, semigroups=1, member_max=6,
-                                     prop2_pairs_max=4, prop2_m1_pairs_max=5), seed=0)
+        return run_suite(SuiteRanges(pairs_max=5, semigroups=1, member_max=6), seed=0)
 
     def test_json_schema(self):
         objs = json.loads(reports_to_json(self.reports()))

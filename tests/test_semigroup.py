@@ -378,4 +378,8 @@ def test_quotient_gaps_match_closure(gens):
     S = NumericalSemigroup.from_generators(gens)
     gaps = closure_gaps(gens)
     for d in range(1, 7):
-        assert list(S.quotient(d).gaps) == [g // d for g in gaps if g % d == 0]
+        quotient_gaps = [g // d for g in gaps if g % d == 0]
+        assert list(S.quotient(d).gaps) == quotient_gaps
+        # the Apery floor sum, for every s <= 20 that is a nonzero member of S/d
+        for s in (s for s in range(1, 21) if d * s not in gaps):
+            assert S.genus_quotient_apery(d, s) == len(quotient_gaps)
