@@ -23,7 +23,7 @@ from .dedekind import (
     zolotarev,
 )
 from .errors import SdlabError
-from .identities import CATALOG, SuiteRanges, reports_to_csv, reports_to_json, run_suite, summarize
+from .identities import CATALOG, SuiteRanges, coprime_pairs, reports_to_csv, reports_to_json, run_suite, summarize
 from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 
 
@@ -33,7 +33,9 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 # `verify` checks grow with the square of --member-max, a --d-max check scans
 # 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at
 # its limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
+# A `table` row costs a Voronoi sum over k < b: --pairs-max 100 takes about 5 s.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
+TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max
 SEMIGROUPS_MAX = 1000  # sdlab verify --semigroups
 MEMBER_MAX_LIMIT = 100  # sdlab verify --member-max
 D_MAX_LIMIT = 100  # sdlab verify --d-max
@@ -116,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="export an invariant table over coprime pairs")
-    pt.add_argument("--pairs-max", type=int, default=12)
+    pt.add_argument("--pairs-max", type=int, default=12,
+                    help=f"largest b of the coprime pairs a < b (at most {TABLE_PAIRS_MAX})")
     pt.add_argument("--out", metavar="FILE")
     pt.add_argument("--format", choices=("csv", "json"), default="csv")
     pt.set_defaults(func=cmd_table)
@@ -261,6 +264,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _bound(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
     with _output(args.out) as fh:
         fh.write(_table_text(args.pairs_max, args.format))
     return 0
@@ -268,22 +272,18 @@ def cmd_table(args) -> int:
 
 def _table_text(pairs_max: int, fmt: str) -> str:
     rows = []
-    for b in range(3, pairs_max + 1):
-        for a in range(2, b):
-            try:
-                S = torus_semigroup(a, b)
-            except SdlabError:
-                continue
-            rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "genus": S.genus,
-                    "frobenius": S.frobenius,
-                    "dedekind_sum": str(dedekind_sum(a, b, "sawtooth")),
-                    "v11": voronoi_sum(a, b, 1, 1),
-                }
-            )
+    for a, b in coprime_pairs(pairs_max):
+        S = torus_semigroup(a, b)
+        rows.append(
+            {
+                "a": a,
+                "b": b,
+                "genus": S.genus,
+                "frobenius": S.frobenius,
+                "dedekind_sum": str(dedekind_sum(a, b, "sawtooth")),
+                "v11": voronoi_sum(a, b, 1, 1),
+            }
+        )
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     lines = ["a,b,genus,frobenius,dedekind_sum,v11"]

@@ -14,15 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import require_coprime
-from .polyring import (
-    BiLaurent,
-    LaurentPoly,
-    from_q,
-    from_t,
-    geom_sum,
-    monomial,
-    roots_of_unity,
-)
+from .polyring import BiLaurent, LaurentPoly, geom_sum, monomial, roots_of_unity
 
 
 @dataclass(frozen=True)
@@ -188,21 +180,28 @@ def rt_poly(kind: str, m: int, n: int, a: int, b: int) -> BiLaurent:
     kind "R": sum_k ((q^{floor(ak/b)} - 1)/(q - 1))^n ((t^k - 1)/(t - 1))^m.
     kind "T": same with the q-factor (q^{ak} - q^{pi(k)})/(q^b - 1), which equals
     q^{pi(k)} * (1 + q^b + ... + q^{b(floor(ak/b)-1)}) because ak = b*floor(ak/b) + pi(k).
+
+    One dict holds the sum: block k adds the outer product of geom_sum(floor(ak/b))**n
+    in q and geom_sum(k)**m in t.  T's q-factor is R's at q^b times q^{pi(k)}, so its
+    n-th power moves R's exponent e to b*e + n*pi(k).  Terms enter in the powers' stored
+    order, which is the order in which `BiLaurent.evaluate` sums them.
     """
     require_coprime(a, b)
     if m < 0 or n < 0:
         raise ValueError("exponents must be >= 0")
-    total = BiLaurent()
+    if kind not in ("R", "T"):
+        raise ValueError("kind must be 'R' or 'T'")
+    stride, lift = (b, n) if kind == "T" else (1, 0)
+    terms: dict[tuple[int, int], int] = {}
     for k in range(1, b):
-        fl = a * k // b
-        if kind == "R":
-            q_factor = from_q(geom_sum(fl))
-        elif kind == "T":
-            q_factor = from_q(geom_sum(fl, step=b).shift(a * k % b))
-        else:
-            raise ValueError("kind must be 'R' or 'T'")
-        total = total + q_factor**n * from_t(geom_sum(k)) ** m
-    return total
+        fl, pik = divmod(a * k, b)
+        t_terms = (geom_sum(k) ** m)._terms.items()
+        for e, cq in (geom_sum(fl) ** n)._terms.items():
+            eq = stride * e + lift * pik
+            for et, ct in t_terms:
+                key = (eq, et)
+                terms[key] = terms.get(key, 0) + cq * ct
+    return BiLaurent._raw(terms)
 
 
 def carlitz_floor_sum(a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:

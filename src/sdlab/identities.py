@@ -318,13 +318,14 @@ def check_prop3(a: int, b: int, mode: str = "exact") -> IdentityReport:
     C = S.gap_poly()
     lhs = carlitz_poly(a, b).scale_q(b)
     if mode == "exact":
-        rhs = from_t(geom_sum(b - 1))
+        # block k fills only t-degree k - 1, so no two blocks share a key
         qb_minus_1 = monomial(b) - ONE
+        blocks = {}
         for k in range(1, b):
             pik = a * k % b
-            u = (qb_minus_1 * C.multisection(b, pik)).shift(-pik)
-            rhs = rhs + BiLaurent({(e, k - 1): c for e, c in u.items()})
-        ok = lhs == rhs
+            for e, c in (qb_minus_1 * C.multisection(b, pik))._terms.items():
+                blocks[e - pik, k - 1] = c
+        ok = lhs == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
         return _finish("prop3", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
     worst = 0.0
     ok = True
@@ -376,8 +377,8 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     started_t = time.perf_counter()
     t11 = rt_poly("T", 1, 1, a, b)
     display_base = r11.scale_q(b)
-    readings = sorted({a * k % b for k in range(1, b)})
-    all_match = all(display_base.shift(j, 0) == t11 for j in readings)
+    # pi(k) = a*k mod b permutes 1..b-1 for coprime a, b
+    all_match = all(display_base.shift(j, 0) == t11 for j in range(1, b))
     canonical = display_base.shift(a % b, 0)  # reading at the first index k = 1
     q0, t0 = QT_SAMPLE
     tv = t11.evaluate(q0, t0)
@@ -526,7 +527,8 @@ class SuiteRanges:
 
     pairs_max <= 0 requests an empty run.  prop2 sweeps the same coprime
     pairs, clamped to check_prop2's ceilings: b <= PROP2_B_MAX_N1 for n = 1
-    and b <= PROP2_B_MAX for n >= 2."""
+    and b <= PROP2_B_MAX for n >= 2.  A pairs_max above 58 (over 1,024 pairs)
+    overflows the torus_semigroup and _gap_root_values caches."""
 
     pairs_max: int = 20
     semigroups: int = 6

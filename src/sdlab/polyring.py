@@ -120,17 +120,17 @@ class _Sparse:
         return self._raw({k: c * v for k, v in self._terms.items()} if c else {})
 
     def __pow__(self, n: int):
-        """Binary powering; squares only while bits of n remain, so p**1 costs no p*p."""
+        """Binary powering from the lowest set bit's power, so p**1 makes no product and p**2 one."""
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result, p = self._raw({self._ONE_KEY: 1}), self
+        result, p = None, self
         while n:
             if n & 1:
-                result = result * p
+                result = p if result is None else result * p
             n >>= 1
             if n:
                 p = p * p
-        return result
+        return self._raw({self._ONE_KEY: 1}) if result is None else result
 
     # -- display ------------------------------------------------------------
 
@@ -307,11 +307,11 @@ def monomial(e: int, c=1) -> LaurentPoly:
     return LaurentPoly({e: c})
 
 
-def geom_sum(m: int, step: int = 1) -> LaurentPoly:
-    """(v^m - 1)/(v - 1) = 1 + v + ... + v^{m-1} with v = q^step; m = 0 gives 0."""
+def geom_sum(m: int) -> LaurentPoly:
+    """(q^m - 1)/(q - 1) = 1 + q + ... + q^{m-1}; m = 0 gives 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return LaurentPoly({i * step: 1 for i in range(m)})
+    return LaurentPoly({i: 1 for i in range(m)})
 
 
 def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: LaurentPoly) -> bool:
@@ -387,11 +387,6 @@ class BiLaurent(_Sparse):
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:
     return BiLaurent({(eq, et): c})
-
-
-def from_q(p: LaurentPoly) -> BiLaurent:
-    """Embed a univariate polynomial in q into (q, t)."""
-    return BiLaurent._raw({(e, 0): c for e, c in p.items()})
 
 
 def from_t(p: LaurentPoly) -> BiLaurent:

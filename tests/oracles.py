@@ -9,6 +9,8 @@ import cmath
 from fractions import Fraction
 from math import factorial
 
+from sdlab.polyring import BiLaurent
+
 
 def pair_members(a: int, b: int, bound: int) -> set:
     """All i*a + j*b <= bound with i, j >= 0, by double enumeration."""
@@ -119,3 +121,23 @@ def prop2_composition_sums(a: int, b: int, n: int, kernels) -> list:
         for t, kernel in enumerate(kernels):
             totals[t] += coef * prod * kernel(lam)
     return [total / b**n for total in totals]
+
+
+def rt_product_route(kind: str, m: int, n: int, a: int, b: int) -> BiLaurent:
+    """R_{m,n} or T_{m,n} as the sum over k of one BiLaurent product per k.
+
+    The q-factor of block k is 1 + q + ... + q^{floor(ak/b)-1} for "R" and
+    q^{ak mod b} * (1 + q^b + ... + q^{b(floor(ak/b)-1)}) for "T"; the
+    t-factor is 1 + t + ... + t^{k-1}.  Each block is added to the running
+    total, whose first-appearance term order is the order the library keeps.
+    """
+    total = BiLaurent()
+    for k in range(1, b):
+        fl, pik = divmod(a * k, b)
+        if kind == "R":
+            q_factor = BiLaurent({(i, 0): 1 for i in range(fl)})
+        else:
+            q_factor = BiLaurent({(b * i + pik, 0): 1 for i in range(fl)})
+        t_factor = BiLaurent({(0, j): 1 for j in range(k)})
+        total = total + q_factor**n * t_factor**m
+    return total

@@ -11,6 +11,7 @@ from sdlab.cli import (
     MEMBER_MAX_LIMIT,
     PAIRS_MAX_LIMIT,
     SEMIGROUPS_MAX,
+    TABLE_PAIRS_MAX,
     VORONOI_EXP_MAX,
     main,
 )
@@ -295,6 +296,14 @@ class TestTableCommand:
         code, out, err = run_cli(capsys, "table", "--pairs-max", "5", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))
 
+    def test_pairs_max_past_its_limit_refused(self, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was built before --pairs-max was checked")
+
+        monkeypatch.setattr("sdlab.cli._table_text", no_table)
+        code, out, err = run_cli(capsys, "table", "--pairs-max", str(TABLE_PAIRS_MAX + 1))
+        assert_one_line_error(code, out, err, "--pairs-max", str(TABLE_PAIRS_MAX + 1))
+
     def test_unwritable_out_refused_before_the_table(self, capsys, tmp_path, monkeypatch):
         def no_table(*args, **kwargs):
             raise AssertionError("the table was built before --out was checked")
@@ -352,7 +361,7 @@ ARGV = st.one_of(
                   small_or_over(st.integers(-2, 6), VORONOI_EXP_MAX)),
         FORMAT,
     ]),
-    argv_of("table", st.tuples(st.just("--pairs-max"), st.integers(-3, 9).map(str)), [FORMAT]),
+    argv_of("table", st.tuples(st.just("--pairs-max"), small_or_over(st.integers(-3, 9), TABLE_PAIRS_MAX)), [FORMAT]),
     # the sweep sizes are small or past their limits, for the same reason
     argv_of("verify", st.tuples(st.just("--pairs-max"), small_or_over(st.integers(-3, 6), PAIRS_MAX_LIMIT)), [
         st.tuples(st.just("--semigroups"), small_or_over(st.integers(-2, 6), SEMIGROUPS_MAX)),

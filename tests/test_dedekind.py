@@ -22,7 +22,7 @@ from sdlab.dedekind import (
 from sdlab.errors import GcdNotOne
 from sdlab.polyring import BiLaurent, LaurentPoly, roots_of_unity
 
-from oracles import dedekind_kb_form, dedekind_quotient_form, dedekind_root_form
+from oracles import dedekind_kb_form, dedekind_quotient_form, dedekind_root_form, rt_product_route
 
 
 def coprime_pairs(bmax, amin=1):
@@ -236,6 +236,18 @@ class TestRTPolys:
         for a, b in ((3, 5), (4, 7)):
             tpoly = rt_poly("T", 0, 1, a, b)
             assert all(eq >= 0 for (eq, _), _ in tpoly.items())
+
+    def test_equals_the_product_route(self):
+        # equal floats at a sample point: both sum the same terms in the same order
+        # a + b has the same pi(k) as a, and floor((a + b)k/b) = floor(ak/b) + k
+        pairs = coprime_pairs(12, amin=1)
+        for a, b in pairs + [(a + b, b) for a, b in pairs]:
+            for kind in "RT":
+                for m in range(4):
+                    for n in range(4):
+                        p, ref = rt_poly(kind, m, n, a, b), rt_product_route(kind, m, n, a, b)
+                        assert p == ref, (kind, m, n, a, b)
+                        assert p.evaluate(0.37, 0.61) == ref.evaluate(0.37, 0.61), (kind, m, n, a, b)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

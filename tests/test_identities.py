@@ -363,6 +363,12 @@ class TestSuite:
         keys = [(r.identity_id, sorted(r.params.items())) for r in reports]
         assert keys == sorted(keys)
 
+    def test_bytes_do_not_depend_on_job_order(self, monkeypatch):
+        forward = reports_to_json(run_suite(self.small_ranges(), seed=0))
+        assert '"prop4.T11"' in forward
+        monkeypatch.setattr(sdlab.identities, "CATALOG", sdlab.identities.CATALOG[::-1])
+        assert reports_to_json(run_suite(self.small_ranges(), seed=0)) == forward
+
     def test_empty_ranges(self):
         assert run_suite(SuiteRanges(pairs_max=0), seed=0) == []
 

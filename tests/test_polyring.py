@@ -12,7 +12,6 @@ from sdlab.polyring import (
     ZERO,
     bi_monomial,
     constant,
-    from_q,
     from_t,
     geom_sum,
     monomial,
@@ -92,6 +91,20 @@ class TestArithmetic:
             monomial(1) ** -1
         with pytest.raises(ValueError):
             bi_monomial(1, 0) ** -1
+
+    @pytest.mark.parametrize("p", [LaurentPoly({0: 1, 2: -1}), BiLaurent({(0, 0): 1, (1, 2): -1})])
+    def test_pow_makes_no_spare_product(self, p, monkeypatch):
+        cls, mul, calls = type(p), type(p).__mul__, []
+
+        def counted(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2)):
+            calls.clear()
+            p**k
+            assert len(calls) == products, k
 
     def test_operations_do_not_mutate(self):
         f = LaurentPoly({1: 1})
@@ -245,9 +258,6 @@ class TestGeomSum:
         for m in range(8):
             assert (monomial(1) - 1) * geom_sum(m) == monomial(m) - ONE
 
-    def test_stride(self):
-        assert geom_sum(3, step=4) == LaurentPoly({0: 1, 4: 1, 8: 1})
-
 
 class TestRationalEq:
     def test_spec_cases(self):
@@ -366,6 +376,31 @@ def divisors(draw):
     return rest + monomial(top, draw(LEAD))
 
 
+BISPARSE = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), COEFF, max_size=6).map(BiLaurent)
+SAME_KIND = st.one_of(st.tuples(SPARSE, SPARSE, SPARSE), st.tuples(BISPARSE, BISPARSE, BISPARSE))
+
+
+class TestRingProperties:
+    @settings(deadline=None)
+    @given(fgh=SAME_KIND)
+    def test_ring_laws(self, fgh):
+        f, g, h = fgh
+        assert f + g == g + f
+        assert f * g == g * f
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+
+    @settings(deadline=None)
+    @given(f=st.one_of(SPARSE, BISPARSE))
+    def test_pow_is_repeated_product(self, f):
+        assert f**0 == 1
+        product = f
+        for k in range(1, 5):
+            assert f**k == product
+            product = product * f
+
+
 class TestDivisionProperties:
     @settings(deadline=None)
     @given(f=SPARSE, g=divisors())
@@ -410,7 +445,6 @@ class TestBiLaurent:
 
     def test_embeddings(self):
         f = geom_sum(3)
-        assert from_q(f) == BiLaurent({(0, 0): 1, (1, 0): 1, (2, 0): 1})
         assert from_t(f) == BiLaurent({(0, 0): 1, (0, 1): 1, (0, 2): 1})
 
     def test_evaluate_exact(self):
