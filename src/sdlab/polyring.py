@@ -311,7 +311,7 @@ def geom_sum(m: int) -> LaurentPoly:
     """(q^m - 1)/(q - 1) = 1 + q + ... + q^{m-1}; m = 0 gives 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return LaurentPoly({i: 1 for i in range(m)})
+    return LaurentPoly._raw(dict.fromkeys(range(m), 1))
 
 
 def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: LaurentPoly) -> bool:
@@ -370,7 +370,10 @@ class BiLaurent(_Sparse):
         return BiLaurent._raw({(eq * m, et): c for (eq, et), c in self._terms.items()})
 
     def evaluate(self, qv, tv):
-        return sum(c * qv**eq * tv**et for (eq, et), c in self._terms.items())
+        """Value at (qv, tv), summed in term order; each power is computed once per exponent."""
+        qpow = {e: qv**e for e in {eq for eq, _ in self._terms}}
+        tpow = {e: tv**e for e in {et for _, et in self._terms}}
+        return sum(c * qpow[eq] * tpow[et] for (eq, et), c in self._terms.items())
 
     def to_terms(self) -> list:
         out = []

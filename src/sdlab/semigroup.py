@@ -5,7 +5,8 @@ is closed under addition, and misses only finitely many integers (its gaps).
 It is held as its Apéry set ap with respect to its least generator m: ap[k] is
 the least member congruent to k mod m, so x is a member iff x >= ap[x % m], the
 Frobenius number is max(ap) - m and the genus sum(a // m for a in ap) (Selmer
-1977).  The gap list and gap polynomial are listed from ap on first use.
+1977).  Gaps, members and quotients S/d are read off ap class by class, with
+no membership test per integer: class k holds the gaps k, k + m, ..., ap[k] - m.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from math import gcd
 
 from .errors import EmptyGenerators, GcdNotOne, InexactDivision, NotAMember, TooLarge, require_coprime
@@ -25,6 +26,12 @@ SIZE_MAX = 10**6  # largest least generator, Apery modulus, walked genus or memb
 def _bound(n: int, what: str, limit: int = SIZE_MAX) -> None:
     if n > limit:
         raise TooLarge(f"{what} {n} > {limit}")
+
+
+def _members(ap, lo: int, hi: int) -> list[int]:
+    """Members in [lo, hi], ascending, of the semigroup with Apéry set ap: one range per class."""
+    n = len(ap)
+    return sorted(chain.from_iterable(range(max(a, lo + (a - lo) % n), hi + 1, n) for a in ap))
 
 
 def _round_robin(gens, s: int) -> tuple[int, ...]:
@@ -118,7 +125,7 @@ class NumericalSemigroup:
         if self._gaps is None:
             _bound(self.genus, "genus")
             ap, m = self.ap, self.multiplicity
-            self._gaps = tuple(x for x in range(1, self.frobenius + 1) if x < ap[x % m])
+            self._gaps = tuple(sorted(chain.from_iterable(range(k, ap[k], m) for k in range(1, m))))
         return self._gaps
 
     @property
@@ -128,7 +135,7 @@ class NumericalSemigroup:
     def members(self, limit: int):
         """Members in [0, limit]."""
         _bound(limit, "member range limit")
-        return [x for x in range(limit + 1) if self.contains(x)]
+        return _members(self.ap, 0, limit)
 
     def __eq__(self, other):
         return self.ap == other.ap if isinstance(other, NumericalSemigroup) else NotImplemented
@@ -163,7 +170,7 @@ class NumericalSemigroup:
     def gap_poly(self) -> LaurentPoly:
         """Sum of q^g over the gaps g."""
         if self._gap_poly_cache is None:
-            self._gap_poly_cache = LaurentPoly({g: 1 for g in self.gaps})
+            self._gap_poly_cache = LaurentPoly._raw(dict.fromkeys(self.gaps, 1))
         return self._gap_poly_cache
 
     def semigroup_poly(self) -> LaurentPoly:
@@ -201,22 +208,27 @@ class NumericalSemigroup:
     # -- quotient semigroups ---------------------------------------------------
 
     def quotient(self, d: int) -> "NumericalSemigroup":
-        """S/d = {x >= 0 : d*x in S}, with membership read from contains(d*x).
+        """S/d = {x >= 0 : d*x in S}, in closed form from the Apéry set ap of S.
 
-        Its Apéry set is taken with respect to its least nonzero member m, by
-        scanning each class mod m upwards.  The stored generating set is the
-        member list of [m, conductor + m]: any larger member x has x - m past
-        the conductor, hence decomposes.  Non-minimal but provably sufficient.
+        x is in S/d iff d*x >= ap[d*x mod m], which depends only on x mod n = m/gcd(d, m):
+        class c mod n starts at the least x = c mod n with x >= ceil(ap[d*c mod m] / d).
+        n is in S/d; if its least nonzero member m' is smaller, each class mod m' is
+        scanned upwards against these starts.  The stored generating set is the member
+        list of [m', conductor + m']: any larger member x has x - m' past the
+        conductor, hence decomposes.  Non-minimal but provably sufficient.
         """
         if d < 1:
             raise ValueError("d must be >= 1")
         if d == 1:
             return self
         _bound(self.genus, "genus")  # S/d has at most as many gaps as S
-        m = next(x for x in count(1) if self.contains(d * x))
-        ap = tuple(next(x for x in count(k, m) if self.contains(d * x)) for k in range(m))
-        conductor = max(ap) - m + 1
-        return NumericalSemigroup(tuple(x for x in range(m, conductor + m + 1) if self.contains(d * x)), ap)
+        m, ap = self.multiplicity, self.ap
+        n = m // gcd(d, m)
+        least = [c - n * ((c + -ap[d * c % m] // d) // n) for c in range(n)]  # c - n*floor((c - ceil(ap/d)) / n)
+        mq = min([n, *least[1:]])
+        ap_q = least if mq == n else [next(x for x in count(k, mq) if x >= least[x % n]) for k in range(mq)]
+        conductor = max(ap_q) - mq + 1
+        return NumericalSemigroup(tuple(_members(ap_q, mq, conductor + mq)), tuple(ap_q))
 
     def genus_quotient_trig(self, d: int) -> int:
         """Genus of S/d via the root-of-unity average of the gap polynomial:

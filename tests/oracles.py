@@ -7,9 +7,11 @@ literally in complex arithmetic.
 
 import cmath
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 from sdlab.polyring import BiLaurent
+from sdlab.semigroup import NumericalSemigroup
 
 
 def pair_members(a: int, b: int, bound: int) -> set:
@@ -46,6 +48,19 @@ def closure_gaps(gens) -> list:
     bound = min(gens) * max(gens) + max(gens)
     members = closure_members(gens, bound)
     return [x for x in range(bound + 1) if x not in members]
+
+
+def quotient_by_definition(S, d: int):
+    """S/d = {x >= 0 : d*x in S}, with every membership read from S.contains(d*x):
+    its least nonzero member m, the least member of each class mod m found by
+    scanning the class upwards, and the members of [m, conductor + m] as its
+    generators (S itself for d = 1)."""
+    if d == 1:
+        return S
+    m = next(x for x in count(1) if S.contains(d * x))
+    ap = tuple(next(x for x in count(k, m) if S.contains(d * x)) for k in range(m))
+    conductor = max(ap) - m + 1
+    return NumericalSemigroup(tuple(x for x in range(m, conductor + m + 1) if S.contains(d * x)), ap)
 
 
 def literal_class_avg(terms, n: int, k: int, q: float) -> complex:

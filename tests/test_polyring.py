@@ -452,6 +452,14 @@ class TestBiLaurent:
         val = p.evaluate(Fraction(2), Fraction(3))
         assert val == Fraction(1, 2) * Fraction(1, 2) * 3 + 4
 
+    @settings(deadline=None)
+    @given(terms=st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), COEFF, max_size=12))
+    def test_evaluate_sums_terms_in_order(self, terms):
+        # the same float operations in the same order as the literal sum, so the same bits
+        qv, tv = complex(0.7, 0.2), complex(-0.4, 0.9)
+        literal = sum(c * qv**eq * tv**et for (eq, et), c in terms.items())
+        assert BiLaurent(terms).evaluate(qv, tv) == literal
+
     def test_complex_coefficients_supported(self):
         p = BiLaurent({(-1, 0): 1j, (0, 0): 1})
         assert p.evaluate(2.0, 1.0) == 1 + 0.5j

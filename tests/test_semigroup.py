@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge
@@ -15,7 +15,7 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import closure_gaps, closure_members, pair_gaps
+from oracles import closure_gaps, closure_members, pair_gaps, quotient_by_definition
 
 
 def random_generators(rng):
@@ -333,6 +333,22 @@ class TestQuotient:
         with pytest.raises(NotAMember):
             S.genus_quotient_apery(2, 1)  # 2*1 = 2 is not in <3,5>
 
+    def test_no_membership_test_per_integer(self, monkeypatch):
+        # quotients and listings are read off the Apery set, class by class
+        def refuse(self, x):
+            raise AssertionError(f"membership test for {x}")
+
+        monkeypatch.setattr(NumericalSemigroup, "contains", refuse)
+        monkeypatch.setattr(NumericalSemigroup, "__contains__", refuse)
+        S = NumericalSemigroup.from_generators([12, 20, 33])
+        assert S.gaps[:4] == (1, 2, 3, 4)
+        assert S.gap_poly() == LaurentPoly(dict.fromkeys(S.gaps, 1))
+        assert S.members(40) == [0, 12, 20, 24, 32, 33, 36, 40]
+        for d in range(2, 13):
+            Q = S.quotient(d)
+            assert Q.gaps == tuple(g // d for g in S.gaps if g % d == 0)
+            assert Q.members(30) == [x // d for x in S.members(30 * d) if x % d == 0]
+
 
 class TestFrobeniusConsistency:
     def test_frobenius_from_apery(self):
@@ -374,12 +390,32 @@ def test_apery_sets_match_closure(gens):
 
 @settings(deadline=None)
 @given(gens=GENERATORS)
+# in <3, 5> d = 3, 6, 9, 12 are multiples of m (one class mod n = m/gcd(d, m)) and
+# d >= 8 is past the conductor; in <4, 6, 9> d = 2, 6, 10 share the factor 2 with m;
+# in <7, 11, 13> most d give S/d a multiplicity below n
+@example(gens=[3, 5])
+@example(gens=[4, 6, 9])
+@example(gens=[7, 11, 13])
+def test_quotient_matches_definition(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    for d in range(1, 13):
+        Q, R = S.quotient(d), quotient_by_definition(S, d)
+        assert (Q.ap, Q.multiplicity, Q.generators, Q.gaps, Q.genus, Q.frobenius) == \
+            (R.ap, R.multiplicity, R.generators, R.gaps, R.genus, R.frobenius)
+
+
+@settings(deadline=None)
+@given(gens=GENERATORS)
 def test_quotient_gaps_match_closure(gens):
     S = NumericalSemigroup.from_generators(gens)
     gaps = closure_gaps(gens)
+    limit = min(gens) * max(gens) + max(gens)
+    members = closure_members(gens, limit)
+    assert S.members(limit) == sorted(members)
     for d in range(1, 7):
         quotient_gaps = [g // d for g in gaps if g % d == 0]
         assert list(S.quotient(d).gaps) == quotient_gaps
+        assert S.quotient(d).members(limit // d) == [x for x in range(limit // d + 1) if d * x in members]
         # the Apery floor sum, for every s <= 20 that is a nonzero member of S/d
         for s in (s for s in range(1, 21) if d * s not in gaps):
             assert S.genus_quotient_apery(d, s) == len(quotient_gaps)
