@@ -212,10 +212,11 @@ class NumericalSemigroup:
 
         x is in S/d iff d*x >= ap[d*x mod m], which depends only on x mod n = m/gcd(d, m):
         class c mod n starts at the least x = c mod n with x >= ceil(ap[d*c mod m] / d).
-        n is in S/d; if its least nonzero member m' is smaller, each class mod m' is
-        scanned upwards against these starts.  The stored generating set is the member
-        list of [m', conductor + m']: any larger member x has x - m' past the
-        conductor, hence decomposes.  Non-minimal but provably sufficient.
+        n is in S/d; if its least nonzero member m' is smaller, the Apéry set is re-rooted at
+        m': its elements in class c mod n run from the start of c up to, not including, m' plus
+        the start of c - m'.  The stored generating set is the member list of [m', conductor + m']:
+        any larger member x has x - m' past the conductor, hence decomposes.  Non-minimal
+        but provably sufficient.
         """
         if d < 1:
             raise ValueError("d must be >= 1")
@@ -226,7 +227,8 @@ class NumericalSemigroup:
         n = m // gcd(d, m)
         least = [c - n * ((c + -ap[d * c % m] // d) // n) for c in range(n)]  # c - n*floor((c - ceil(ap/d)) / n)
         mq = min([n, *least[1:]])
-        ap_q = least if mq == n else [next(x for x in count(k, mq) if x >= least[x % n]) for k in range(mq)]
+        ap_q = least if mq == n else sorted(  # the w with w - mq not in S/d: mq in all, one per class mod mq
+            chain.from_iterable(range(least[c], least[(c - mq) % n] + mq, n) for c in range(n)), key=mq.__rmod__)
         conductor = max(ap_q) - mq + 1
         return NumericalSemigroup(tuple(_members(ap_q, mq, conductor + mq)), tuple(ap_q))
 
