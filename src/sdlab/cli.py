@@ -12,6 +12,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 from .dedekind import (
@@ -28,11 +29,10 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 
 
 # Largest sizes the commands sweep over; a larger one is refused with one
-# `error:` line (exit 2) before any work.  The 970 coprime pairs of --pairs-max
-# 58 fit the 1,024-entry torus_semigroup and _gap_root_values caches (59: 1,027).
-# `verify` checks grow with the square of --member-max, a --d-max check scans
-# 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at
-# its limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
+# `error:` line (exit 2) before any work.  They bound time: `verify` checks
+# grow with the square of --member-max, a --d-max check scans 19 classes
+# mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
+# limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
 # A `table` row costs a Voronoi sum over k < b: --pairs-max 100 takes about 5 s.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max
@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--d-max", type=int, default=SuiteRanges.d_max,
                     help=f"largest quotient divisor (at most {D_MAX_LIMIT})")
     pv.add_argument("--identity", action="append", default=[], metavar="ID",
-                    help="restrict to ids with this prefix, listed below (no match is an error)")
+                    help="restrict to ids with this prefix, listed below (an error if no id matches, "
+                         "or if the sizes give the kept ids no check)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
@@ -235,9 +236,19 @@ def cmd_dedekind(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """The --out file, opened now so that a bad path fails before any work; stdout when no path is given."""
-    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    """A writer for the finished text, to stdout or to the --out file.  The file
+    is opened now, for appending, so that a bad path fails before any work; a
+    regular file is emptied only when the text is written, so that a refused
+    run leaves it as it was."""
+    with open(path, "a", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        def write(text):
+            if path and os.path.isfile(path):
+                fh.truncate(0)
+            fh.write(text)
+
+        yield write
 
 
 def cmd_verify(args) -> int:
@@ -247,9 +258,9 @@ def cmd_verify(args) -> int:
     _bound(args.d_max, "--d-max", D_MAX_LIMIT)
     ranges = SuiteRanges(pairs_max=args.pairs_max, semigroups=args.semigroups, member_max=args.member_max,
                          d_max=args.d_max, identities=tuple(args.identity))
-    with _output(args.out) as fh:
+    with _output(args.out) as write:
         reports = run_suite(ranges, seed=args.seed)
-        fh.write(
+        write(
             reports_to_json(reports, include_timings=args.timings)
             if args.format == "json"
             else reports_to_csv(reports, include_timings=args.timings)
@@ -265,8 +276,8 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     _bound(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
-    with _output(args.out) as fh:
-        fh.write(_table_text(args.pairs_max, args.format))
+    with _output(args.out) as write:
+        write(_table_text(args.pairs_max, args.format))
     return 0
 
 

@@ -31,6 +31,10 @@ class UnknownIdentity(SdlabError):
     """Raised when an identity filter matches no id of the catalog."""
 
 
+class EmptyPlan(SdlabError):
+    """Raised when a verification run's ranges give the wanted identities no check."""
+
+
 class IndexOutOfRange(SdlabError):
     """Raised when a residue-class index is outside [0, modulus)."""
 

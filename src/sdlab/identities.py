@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
 from typing import Callable, NamedTuple
@@ -35,7 +35,7 @@ from .dedekind import (
     rt_poly,
     voronoi_sum,
 )
-from .errors import IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity, require_coprime
+from .errors import EmptyPlan, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity, require_coprime
 from .polyring import (
     BiLaurent,
     LaurentPoly,
@@ -100,7 +100,7 @@ def _gen_params(S: NumericalSemigroup) -> dict:
     return {f"g{i + 1}": g for i, g in enumerate(S.generators)}
 
 
-@lru_cache(maxsize=1024)  # every coprime pair with b <= 58
+@lru_cache(maxsize=16)  # run_suite checks one pair at a time
 def _gap_root_values(a: int, b: int) -> tuple:
     """C at every b-th root of unity for <a, b>, computed once per pair.
 
@@ -526,9 +526,9 @@ class SuiteRanges:
     default run, and the CLI's defaults are read from these fields.
 
     pairs_max <= 0 requests an empty run.  prop2 sweeps the same coprime
-    pairs, clamped to check_prop2's ceilings: b <= PROP2_B_MAX_N1 for n = 1
-    and b <= PROP2_B_MAX for n >= 2.  A pairs_max above 58 (over 1,024 pairs)
-    overflows the torus_semigroup and _gap_root_values caches."""
+    pairs, up to check_prop2's ceilings: b <= PROP2_B_MAX_N1 for n = 1 and
+    b <= PROP2_B_MAX for n >= 2.  run_suite makes every check of one pair
+    before the next, so no cache has to hold more than one pair."""
 
     pairs_max: int = 20
     semigroups: int = 6
@@ -547,10 +547,7 @@ def random_semigroups(count: int, rng: random.Random) -> list:
     for _ in range(count):
         while True:
             gens = [rng.randint(2, 30) for _ in range(rng.randint(2, 4))]
-            g = 0
-            for x in gens:
-                g = gcd(g, x)
-            if g == 1:
+            if gcd(*gens) == 1:
                 break
         out.append(NumericalSemigroup.from_generators(gens))
     return out
@@ -562,75 +559,52 @@ def random_semigroups(count: int, rng: random.Random) -> list:
 class CatalogRow(NamedTuple):
     ids: tuple  # the report ids the checker emits
     statement: str
-    # jobs(ranges, semigroups) yields (checker, args) per check; semigroups()
-    # returns the seeded random semigroups.  The checker is named in the job
-    # function's body, so it is looked up when the jobs are made.
-    jobs: Callable
+    # pair(a, b) returns the reports of one coprime pair, semigroup(S, ranges)
+    # those of one random semigroup.  Each names its checker in its body, so
+    # the checker is looked up when it is called.
+    pair: Callable | None = None
+    semigroup: Callable | None = None
 
 
-def _pairs(ranges):
-    return coprime_pairs(ranges.pairs_max)
-
-
-def _members(ranges, semigroups):
-    return [(S, s) for S in semigroups() for s in range(1, ranges.member_max + 1) if S.contains(s)]
-
-
-def _eq6_jobs(ranges, semigroups):
-    for a, b in _pairs(ranges):
-        for s in (a, b):
-            yield check_eq6, (torus_semigroup(a, b), s)
-    for S, s in _members(ranges, semigroups):
-        yield check_eq6, (S, s)
-
-
-def _prop2_jobs(ranges, semigroups):
-    for a, b in coprime_pairs(min(ranges.pairs_max, PROP2_B_MAX_N1)):
-        for m in range(1, 5):
-            yield check_prop2, (a, b, m, 1)
-    for a, b in coprime_pairs(min(ranges.pairs_max, PROP2_B_MAX)):
-        for m in range(1, 5):
-            for n in range(2, PROP2_N_MAX + 1):
-                yield check_prop2, (a, b, m, n)
-
-
-def _prop7_jobs(ranges, semigroups):
-    for S in semigroups():
-        for d in range(1, ranges.d_max + 1):
-            if any(S.contains(d * s) for s in range(1, 21)):
-                yield check_prop7, (S, d)
+def _members(S, ranges):
+    return [s for s in range(1, ranges.member_max + 1) if S.contains(s)]
 
 
 CATALOG = (
     CatalogRow(("eq1",), "Hilbert series of <a, b> in closed form",
-               lambda r, sg: ((check_eq1, (a, b)) for a, b in _pairs(r))),
-    CatalogRow(("eq6",), "gap polynomial reassembled from Apery geometric blocks", _eq6_jobs),
+               pair=lambda a, b: (check_eq1(a, b),)),
+    CatalogRow(("eq6",), "gap polynomial reassembled from Apery geometric blocks",
+               pair=lambda a, b: (check_eq6(torus_semigroup(a, b), s) for s in (a, b)),
+               semigroup=lambda S, r: (check_eq6(S, s) for s in _members(S, r))),
     CatalogRow(("prop1.eq2",), "Apery floor data of any semigroup from its gap polynomial",
-               lambda r, sg: ((check_prop1, (S, s, k, "exact", 2)) for S, s in _members(r, sg) for k in range(s))),
+               semigroup=lambda S, r: (check_prop1(S, s, k, "exact", 2) for s in _members(S, r) for k in range(s))),
     CatalogRow(("prop1.eq3",), "floor(a_k/s) counts the gaps in class k",
-               lambda r, sg: ((check_prop1, (S, s, k, "exact", 3)) for S, s in _members(r, sg) for k in range(s))),
+               semigroup=lambda S, r: (check_prop1(S, s, k, "exact", 3) for s in _members(S, r) for k in range(s))),
     CatalogRow(("prop1.eq4",), "prop1.eq2 for two generators (class index a*k mod b)",
-               lambda r, sg: ((check_prop1_ab, (a, b, k, "exact", 4)) for a, b in _pairs(r) for k in range(b))),
+               pair=lambda a, b: (check_prop1_ab(a, b, k, "exact", 4) for k in range(b))),
     CatalogRow(("prop1.eq5",), "prop1.eq3 for two generators",
-               lambda r, sg: ((check_prop1_ab, (a, b, k, "exact", 5)) for a, b in _pairs(r) for k in range(b))),
+               pair=lambda a, b: (check_prop1_ab(a, b, k, "exact", 5) for k in range(b))),
     CatalogRow(("prop2",), "Voronoi sums from gap-polynomial root values, Mirimanoff / Apostol-Bernoulli kernels",
-               _prop2_jobs),
+               pair=lambda a, b: (check_prop2(a, b, m, n) for m in range(1, 5) for n in range(1, PROP2_N_MAX + 1)
+                                  if b <= (PROP2_B_MAX_N1 if n == 1 else PROP2_B_MAX))),
     CatalogRow(("prop3",), "Dedekind-Carlitz c(q^b, t) from gap polynomials",
-               lambda r, sg: ((check_prop3, (a, b)) for a, b in _pairs(r))),
+               pair=lambda a, b: (check_prop3(a, b),)),
     # one check_prop4 call computes both displays
     CatalogRow(("prop4.R11", "prop4.T11"), "floor-sum polynomial R11 vs its rational form; T11 display as written",
-               lambda r, sg: ((check_prop4, (a, b)) for a, b in _pairs(r))),
+               pair=lambda a, b: check_prop4(a, b)),
     CatalogRow(("prop5",), "generating function of floor(ak/b) from gap-class counts",
-               lambda r, sg: ((check_prop5, (a, b)) for a, b in _pairs(r))),
+               pair=lambda a, b: (check_prop5(a, b),)),
     CatalogRow(("gapvalues",), "gap polynomial at roots of unity in closed form; genus at 1",
-               lambda r, sg: ((check_gap_values, (a, b, k)) for a, b in _pairs(r) for k in range(b))),
+               pair=lambda a, b: (check_gap_values(a, b, k) for k in range(b))),
     CatalogRow(("prop6.eq7",), "V_{1,1} as a root-of-unity sum plus (a-1)(b-1)^2/4",
-               lambda r, sg: ((check_prop6, (a, b)) for a, b in _pairs(r))),
-    CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force", _prop7_jobs),
+               pair=lambda a, b: (check_prop6(a, b),)),
+    CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force",
+               semigroup=lambda S, r: (check_prop7(S, d) for d in range(1, r.d_max + 1)
+                                       if any(S.contains(d * s) for s in range(1, 21)))),
     CatalogRow(("cor510",), "floor-sum polynomial identity swapping the roles of a and b",
-               lambda r, sg: ((check_cor510, (a, b)) for a, b in _pairs(r))),
+               pair=lambda a, b: (check_cor510(a, b),)),
     CatalogRow(("sawtoothpoly",), "sawtooth generating polynomial vs its rational closed form",
-               lambda r, sg: ((check_sawtooth_poly, (a, b)) for a, b in _pairs(r))),
+               pair=lambda a, b: (check_sawtooth_poly(a, b),)),
 )
 
 # the ids run_suite reports under; an identities filter must be a prefix of one
@@ -640,11 +614,14 @@ IDENTITY_IDS = tuple(i for row in CATALOG for i in row.ids)
 def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     """Run the checks of every CATALOG row with a wanted id over the given ranges.
 
-    Deterministic for a fixed seed: the random-semigroup population comes from
-    a seeded PRNG, every float check evaluates at fixed sample points, and the
-    returned reports are sorted canonically (id, then params) regardless of
-    the order the checks ran in.  A filter in ranges.identities that is a
-    prefix of no id in IDENTITY_IDS raises UnknownIdentity.
+    Every wanted row checks one coprime pair before the next pair is taken,
+    then one random semigroup before the next.  Deterministic for a fixed
+    seed: the random-semigroup population comes from a seeded PRNG, every
+    float check evaluates at fixed sample points, and the returned reports are
+    sorted canonically (id, then params) regardless of the order the checks
+    ran in.  A filter in ranges.identities that is a prefix of no id in
+    IDENTITY_IDS raises UnknownIdentity; ranges with pairs_max > 0 that give
+    the wanted rows no check raise EmptyPlan.
     """
     for f in ranges.identities:
         if not any(i.startswith(f) for i in IDENTITY_IDS):
@@ -655,15 +632,19 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     def want(identity_id: str) -> bool:
         return not ranges.identities or any(identity_id.startswith(f) for f in ranges.identities)
 
-    # drawn once, and only if a wanted row checks random semigroups
-    semigroups = cache(lambda: random_semigroups(ranges.semigroups, random.Random(seed)))
+    rows = [row for row in CATALOG if any(want(i) for i in row.ids)]
     reports = []
-    for row in CATALOG:
-        if not any(want(i) for i in row.ids):
-            continue
-        for checker, args in row.jobs(ranges, semigroups):
-            out = checker(*args)
-            reports.extend(r for r in (out if isinstance(out, tuple) else (out,)) if want(r.identity_id))
+    pair_checks = [row.pair for row in rows if row.pair]
+    for a, b in coprime_pairs(ranges.pairs_max):
+        for check in pair_checks:
+            reports.extend(r for r in check(a, b) if want(r.identity_id))
+    # the seeded semigroups are drawn only if a wanted row checks them
+    semigroup_checks = [row.semigroup for row in rows if row.semigroup]
+    for S in random_semigroups(ranges.semigroups, random.Random(seed)) if semigroup_checks else ():
+        for check in semigroup_checks:
+            reports.extend(r for r in check(S, ranges) if want(r.identity_id))
+    if not reports:
+        raise EmptyPlan(f"no check to run: {ranges} gives the wanted ids no parameters")
     reports.sort(key=lambda r: (r.identity_id, sorted(r.params.items())))
     return reports
 

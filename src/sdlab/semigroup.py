@@ -252,11 +252,11 @@ class NumericalSemigroup:
         return sum(next(x for x in count(d * i, ds) if self.contains(x)) // ds for i in range(1, s))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=16)
 def torus_semigroup(a: int, b: int) -> NumericalSemigroup:
     """The semigroup generated by a coprime pair, in closed form: with m < n, the
-    Apéry set of m holds n*j in class n*j mod m.  Cached (every coprime pair
-    with b <= 58): the identity checkers revisit the same pair many times."""
+    Apéry set of m holds n*j in class n*j mod m.  Cached: the identity checks
+    of one pair, which run_suite makes together, revisit it many times."""
     require_coprime(a, b)
     m, n = min(a, b), max(a, b)
     _bound(m, "least generator")

@@ -202,6 +202,13 @@ class TestVerifyCommand:
         assert json.loads(out) == []
         assert "empty" in err
 
+    @pytest.mark.parametrize("argv", [("--identity", "prop7", "--d-max", "0"),
+                                      ("--identity", "prop1.eq2", "--member-max", "1"),
+                                      ("--identity", "eq1", "--pairs-max", "2")])
+    def test_empty_plan_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert_one_line_error(code, out, err, "no check")
+
     def test_identity_filter(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--pairs-max", "10", "--semigroups", "0",
                                "--identity", "prop6")
@@ -275,6 +282,23 @@ class TestVerifyCommand:
         missing = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "verify", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))
+
+    @pytest.mark.parametrize("argv", [("--identity", "nonsense"), ("--identity", "eq1", "--pairs-max", "2")])
+    def test_refused_run_keeps_out(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "report.json"
+        out_file.write_bytes(b"earlier report\n")
+        code, out, err = run_cli(capsys, "verify", *argv, "--out", str(out_file))
+        assert_one_line_error(code, out, err)
+        assert out_file.read_bytes() == b"earlier report\n"
+
+    def test_out_replaced_by_the_report(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        out_file.write_bytes(b"an earlier report, longer than the new one " * 1000)
+        code, _, _ = run_cli(capsys, "verify", "--pairs-max", "3", "--semigroups", "0", "--identity", "eq1",
+                             "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_bytes() == reports_to_json(
+            run_suite(SuiteRanges(pairs_max=3, semigroups=0, identities=("eq1",)))).encode()
 
 
 class TestTableCommand:

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdlab.cli import PAIRS_MAX_LIMIT
 from sdlab.dedekind import apostol_bernoulli, mirimanoff
-from sdlab.errors import GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
+from sdlab.errors import EmptyPlan, GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
 import sdlab
 from sdlab.identities import (
@@ -21,7 +20,6 @@ from sdlab.identities import (
     PROP2_N_MAX,
     IdentityReport,
     SuiteRanges,
-    _gap_root_values,
     _prop2_kernels,
     _prop2_rhs,
     check_cor510,
@@ -193,14 +191,15 @@ class TestCaches:
         assert all(size is not None for size in found.values()), found
 
     def test_pairs_max_40_run_fits(self):
-        pairs = len(coprime_pairs(40))
-        assert torus_semigroup.cache_parameters()["maxsize"] >= pairs
-        assert _gap_root_values.cache_parameters()["maxsize"] >= pairs
         assert _prop2_kernels.cache_parameters()["maxsize"] >= (PROP2_B_MAX_N1 - 2) * 4
-        # the largest sweep the CLI allows still builds each pair's semigroup once
-        pairs = len(coprime_pairs(PAIRS_MAX_LIMIT))
-        assert torus_semigroup.cache_parameters()["maxsize"] >= pairs
-        assert _gap_root_values.cache_parameters()["maxsize"] >= pairs
+
+    def test_each_pair_built_once_past_the_cli_limit(self):
+        # eq1 and prop5 both build the pair's semigroup; a run that took the
+        # catalog row by row rebuilt it for each row once the pairs outnumbered
+        # the cache
+        torus_semigroup.cache_clear()
+        run_suite(SuiteRanges(pairs_max=60, semigroups=0, identities=("eq1", "prop5")), seed=0)
+        assert torus_semigroup.cache_info().misses == len(coprime_pairs(60))
 
 
 def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
@@ -368,9 +367,20 @@ class TestSuite:
         assert '"prop4.T11"' in forward
         monkeypatch.setattr(sdlab.identities, "CATALOG", sdlab.identities.CATALOG[::-1])
         assert reports_to_json(run_suite(self.small_ranges(), seed=0)) == forward
+        monkeypatch.undo()
+        monkeypatch.setattr(sdlab.identities, "coprime_pairs", lambda bmax: coprime_pairs(bmax)[::-1])
+        assert reports_to_json(run_suite(self.small_ranges(), seed=0)) == forward
 
     def test_empty_ranges(self):
         assert run_suite(SuiteRanges(pairs_max=0), seed=0) == []
+
+    @pytest.mark.parametrize("ranges", [SuiteRanges(d_max=0, identities=("prop7",)),
+                                        SuiteRanges(member_max=1, identities=("prop1.eq2",)),
+                                        SuiteRanges(pairs_max=2, identities=("eq1",)),
+                                        SuiteRanges(pairs_max=2, semigroups=0)])
+    def test_empty_plan_refused(self, ranges):
+        with pytest.raises(EmptyPlan):
+            run_suite(ranges, seed=0)
 
     def test_all_pass_except_t11(self):
         reports = run_suite(self.small_ranges(), seed=0)
@@ -436,13 +446,15 @@ class TestCatalog:
         reports = run_suite(SuiteRanges(pairs_max=6, semigroups=0, identities=("prop6",)), seed=0)
         assert len(calls) == len(reports) == len(coprime_pairs(6))
 
-    def test_prop2_row_stays_under_ceilings(self):
+    def test_prop2_row_stays_under_ceilings(self, monkeypatch):
         (row,) = [row for row in CATALOG if row.ids == ("prop2",)]
-        ranges = SuiteRanges(pairs_max=100)
-        jobs = [args for _, args in row.jobs(ranges, lambda: [])]
-        assert max(b for _, b, _, n in jobs if n == 1) == PROP2_B_MAX_N1
-        assert max(b for _, b, _, n in jobs if n > 1) == PROP2_B_MAX
-        assert max(n for *_, n in jobs) == PROP2_N_MAX
+        calls = []
+        monkeypatch.setattr(sdlab.identities, "check_prop2", lambda *args: calls.append(args))
+        for a, b in coprime_pairs(100):
+            list(row.pair(a, b))
+        assert max(b for _, b, _, n in calls if n == 1) == PROP2_B_MAX_N1
+        assert max(b for _, b, _, n in calls if n > 1) == PROP2_B_MAX
+        assert max(n for *_, n in calls) == PROP2_N_MAX
 
 
 class TestSerialization:
