@@ -377,8 +377,8 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     started_t = time.perf_counter()
     t11 = rt_poly("T", 1, 1, a, b)
     display_base = r11.scale_q(b)
-    # pi(k) = a*k mod b permutes 1..b-1 for coprime a, b
-    all_match = all(display_base.shift(j, 0) == t11 for j in range(1, b))
+    # pi(k) = a*k mod b permutes 1..b-1 for coprime a, b; a shift keeps the term count
+    all_match = len(display_base) == len(t11) and all(display_base.shift(j, 0) == t11 for j in range(1, b))
     canonical = display_base.shift(a % b, 0)  # reading at the first index k = 1
     q0, t0 = QT_SAMPLE
     tv = t11.evaluate(q0, t0)

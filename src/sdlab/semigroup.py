@@ -5,8 +5,9 @@ is closed under addition, and misses only finitely many integers (its gaps).
 It is held as its Apéry set ap with respect to its least generator m: ap[k] is
 the least member congruent to k mod m, so x is a member iff x >= ap[x % m], the
 Frobenius number is max(ap) - m and the genus sum(a // m for a in ap) (Selmer
-1977).  Gaps, members and quotients S/d are read off ap class by class, with
-no membership test per integer: class k holds the gaps k, k + m, ..., ap[k] - m.
+1977).  Gaps, members, quotients S/d and Apéry sets are read off ap class by
+class, with no membership test per integer: class k holds the gaps k, k + m,
+..., ap[k] - m.  A quotient lists its generating set only when it is read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def _members(ap, lo: int, hi: int) -> list[int]:
     """Members in [lo, hi], ascending, of the semigroup with Apéry set ap: one range per class."""
     n = len(ap)
     return sorted(chain.from_iterable(range(max(a, lo + (a - lo) % n), hi + 1, n) for a in ap))
+
+
+def _reroot(ap, s: int) -> tuple[int, ...]:
+    """Apéry set of a member s from the Apéry set ap of n = len(ap): the members w with w - s not a member
+    (Rosales and García-Sánchez 2009, Lemma 2.4), in class k mod n those below ap[(k - s) % n] + s."""
+    n, least = len(ap), [0] * s
+    for k in range(n):
+        for w in range(ap[k], ap[(k - s) % n] + s, n):
+            least[w % s] = w
+    return tuple(least)
 
 
 def _round_robin(gens, s: int) -> tuple[int, ...]:
@@ -85,13 +96,20 @@ class AperySet:
 
 class NumericalSemigroup:
     """Immutable numerical semigroup, held as its Apéry set `ap` with respect
-    to its least nonzero member, the multiplicity m = len(ap)."""
+    to its least nonzero member, the multiplicity m = len(ap).
 
-    __slots__ = ("generators", "ap", "multiplicity", "frobenius", "genus", "_gaps", "_gap_poly_cache", "_class_counts")
+    >>> list(torus_semigroup(3, 5).apery(5))  # re-rooted from ap = (0, 10, 5)
+    [0, 6, 12, 3, 9]
+    >>> Q = NumericalSemigroup.from_generators([7, 11, 13]).quotient(3)
+    >>> Q.genus, Q.generators  # the generators are listed here, on first read
+    (6, (6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17))
+    """
 
-    def __init__(self, generators: tuple[int, ...], ap: tuple[int, ...], gaps: tuple[int, ...] | None = None):
-        # internal; use from_generators.  `gaps`, when given, replaces the list made from ap
-        self.generators = generators
+    __slots__ = ("_generators", "ap", "multiplicity", "frobenius", "genus", "_gaps", "_gap_poly_cache", "_class_counts")
+
+    def __init__(self, generators: tuple[int, ...] | None, ap: tuple[int, ...], gaps: tuple[int, ...] | None = None):
+        # internal; use from_generators.  None generators are listed when read; `gaps` replaces the list made from ap
+        self._generators = generators
         self.ap = ap
         self.multiplicity = m = len(ap)
         self.frobenius = max(ap) - m
@@ -129,6 +147,14 @@ class NumericalSemigroup:
         return self._gaps
 
     @property
+    def generators(self) -> tuple[int, ...]:
+        """As given, or for a quotient the members of [m, conductor + m], listed on first read: any
+        larger member x has x - m past the conductor, hence decomposes.  Not minimal."""
+        if self._generators is None:
+            self._generators = tuple(_members(self.ap, self.multiplicity, self.conductor + self.multiplicity))
+        return self._generators
+
+    @property
     def conductor(self) -> int:
         return self.frobenius + 1
 
@@ -152,20 +178,12 @@ class NumericalSemigroup:
     # -- Apéry machinery ------------------------------------------------------
 
     def apery(self, s: int) -> AperySet:
-        """Least member of each residue class mod s; s must be a nonzero member."""
+        """Least member of each residue class mod s; s must be a nonzero member.  Re-rooted
+        from ap in closed form, in O(m + s) steps whatever the genus."""
         _bound(s, "Apery modulus")
         if s <= 0 or not self.contains(s):
             raise NotAMember(f"{s} is not a nonzero member")
-        if s == self.multiplicity:
-            return AperySet(s, self.ap)
-        _bound(self.genus, "genus")  # the scan below steps past every gap once
-        m, ap, least = self.multiplicity, self.ap, []
-        for k in range(s):
-            x = k
-            while x < ap[x % m]:
-                x += s
-            least.append(x)
-        return AperySet(s, tuple(least))
+        return AperySet(s, _reroot(self.ap, s))
 
     def gap_poly(self) -> LaurentPoly:
         """Sum of q^g over the gaps g."""
@@ -213,10 +231,7 @@ class NumericalSemigroup:
         x is in S/d iff d*x >= ap[d*x mod m], which depends only on x mod n = m/gcd(d, m):
         class c mod n starts at the least x = c mod n with x >= ceil(ap[d*c mod m] / d).
         n is in S/d; if its least nonzero member m' is smaller, the Apéry set is re-rooted at
-        m': its elements in class c mod n run from the start of c up to, not including, m' plus
-        the start of c - m'.  The stored generating set is the member list of [m', conductor + m']:
-        any larger member x has x - m' past the conductor, hence decomposes.  Non-minimal
-        but provably sufficient.
+        m' as in apery.  The generating set is listed only when `generators` is read.
         """
         if d < 1:
             raise ValueError("d must be >= 1")
@@ -227,10 +242,7 @@ class NumericalSemigroup:
         n = m // gcd(d, m)
         least = [c - n * ((c + -ap[d * c % m] // d) // n) for c in range(n)]  # c - n*floor((c - ceil(ap/d)) / n)
         mq = min([n, *least[1:]])
-        ap_q = least if mq == n else sorted(  # the w with w - mq not in S/d: mq in all, one per class mod mq
-            chain.from_iterable(range(least[c], least[(c - mq) % n] + mq, n) for c in range(n)), key=mq.__rmod__)
-        conductor = max(ap_q) - mq + 1
-        return NumericalSemigroup(tuple(_members(ap_q, mq, conductor + mq)), tuple(ap_q))
+        return NumericalSemigroup(None, _reroot(least, mq))
 
     def genus_quotient_trig(self, d: int) -> int:
         """Genus of S/d via the root-of-unity average of the gap polynomial:

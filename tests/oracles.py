@@ -50,6 +50,12 @@ def closure_gaps(gens) -> list:
     return [x for x in range(bound + 1) if x not in members]
 
 
+def apery_by_definition(S, s: int) -> tuple:
+    """The least member of each class k mod s, found by scanning the class
+    k, k + s, k + 2s, ... upwards with S.contains."""
+    return tuple(next(x for x in count(k, s) if S.contains(x)) for k in range(s))
+
+
 def quotient_by_definition(S, d: int):
     """S/d = {x >= 0 : d*x in S}, with every membership read from S.contains(d*x):
     its least nonzero member m, the least member of each class mod m found by

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sdlab.polyring
+import sdlab.semigroup
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -16,6 +17,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_polyring_doctests():
     result = doctest.testmod(sdlab.polyring)
+    assert result.failed == 0
+    assert result.attempted >= 3
+
+
+def test_semigroup_doctests():
+    result = doctest.testmod(sdlab.semigroup)
     assert result.failed == 0
     assert result.attempted >= 3
 

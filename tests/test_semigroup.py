@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdlab.semigroup
 from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge
 from sdlab.polyring import LaurentPoly, ONE, monomial
 from sdlab.semigroup import (
@@ -15,7 +16,7 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import closure_gaps, closure_members, pair_gaps, quotient_by_definition
+from oracles import apery_by_definition, closure_gaps, closure_members, pair_gaps, quotient_by_definition
 
 
 def random_generators(rng):
@@ -270,7 +271,8 @@ class TestSizeLimit:
         assert S.frobenius == 100000 * 100001 - 100000 - 100001
         assert S.contains(S.frobenius + 1) and not S.contains(S.frobenius)
         assert max(S.apery(100000)) - 100000 == S.frobenius
-        for listing in (lambda: S.gaps, S.gap_poly, S.to_dict, lambda: S.quotient(2), lambda: S.apery(100001),
+        assert max(S.apery(100001)) - 100001 == S.frobenius  # re-rooted from ap, past no gap
+        for listing in (lambda: S.gaps, S.gap_poly, S.to_dict, lambda: S.quotient(2),
                         lambda: S.class_counts(7), lambda: S.gap_poly_from_apery(100000),
                         lambda: S.members(10**12)):
             with pytest.raises(TooLarge):
@@ -349,6 +351,19 @@ class TestQuotient:
             assert Q.gaps == tuple(g // d for g in S.gaps if g % d == 0)
             assert Q.members(30) == [x // d for x in S.members(30 * d) if x % d == 0]
 
+    def test_generators_listed_only_when_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generators listed")
+
+        S = NumericalSemigroup.from_generators([12, 20, 33])
+        with monkeypatch.context() as patch:
+            patch.setattr(sdlab.semigroup, "_members", refuse)
+            quotients = {d: S.quotient(d) for d in range(2, 13)}
+            for Q in quotients.values():
+                assert Q.ap[0] == 0 and Q.genus == len(Q.gaps) and Q.frobenius == max(Q.gaps, default=-1)
+        for d, Q in quotients.items():
+            assert Q.generators == quotient_by_definition(S, d).generators
+
 
 class TestFrobeniusConsistency:
     def test_frobenius_from_apery(self):
@@ -378,14 +393,22 @@ def test_invariants_match_closure(gens):
 
 @settings(deadline=None)
 @given(gens=GENERATORS)
+# in <3, 5> s = 6, 8, 9 are no generators, and s = 5, 8 shift the classes mod
+# m = 3 (k - s wraps to another class); in <4, 7, 9> s = 8 is a multiple of m
+# and 11, 13, 14 are not; in <2, 9> each odd s shifts
+@example(gens=[3, 5])
+@example(gens=[4, 7, 9])
+@example(gens=[2, 9])
 def test_apery_sets_match_closure(gens):
+    # every nonzero member s below 2 * max(gens); each Apery element is at most
+    # the Frobenius number plus s, below the closure's bound (Schur's bound)
     S = NumericalSemigroup.from_generators(gens)
     members = sorted(closure_members(gens, min(gens) * max(gens) + 2 * max(gens)))
-    for g in set(gens):
+    for s in (x for x in members if 0 < x < 2 * max(gens)):
         least = {}
         for x in members:
-            least.setdefault(x % g, x)
-        assert list(S.apery(g)) == [least[k] for k in range(g)]
+            least.setdefault(x % s, x)
+        assert list(S.apery(s)) == [least[k] for k in range(s)] == list(apery_by_definition(S, s))
 
 
 @settings(deadline=None)
