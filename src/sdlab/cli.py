@@ -28,10 +28,10 @@ from .identities import CATALOG, SuiteRanges, coprime_pairs, reports_to_csv, rep
 from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 
 
-# Largest sizes the commands sweep over; a larger one is refused with one
-# `error:` line (exit 2) before any work.  They bound time: `verify` checks
-# grow with the square of --member-max, a --d-max check scans 19 classes
-# mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
+# Largest sizes the commands sweep over; a larger one, or a negative sweep
+# size, is refused with one `error:` line (exit 2) before any work.  They
+# bound time: `verify` checks grow with the square of --member-max, a --d-max
+# check scans 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
 # limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
 # A `table` row costs a Voronoi sum over k < b: --pairs-max 100 takes about 5 s.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
@@ -41,6 +41,12 @@ MEMBER_MAX_LIMIT = 100  # sdlab verify --member-max
 D_MAX_LIMIT = 100  # sdlab verify --d-max
 DEDEKIND_B_MAX = 10**5  # sdlab dedekind: the modulus b (and a, for --floor-sum, which sums over k < a)
 VORONOI_EXP_MAX = 100  # sdlab dedekind --voronoi M N: each exponent
+
+
+def _size(value: int, flag: str, limit: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} {value} < 0")
+    _bound(value, flag, limit)
 
 
 def _fmt_float(x: float) -> str:
@@ -252,10 +258,10 @@ def _output(path: str | None):
 
 
 def cmd_verify(args) -> int:
-    _bound(args.pairs_max, "--pairs-max", PAIRS_MAX_LIMIT)
-    _bound(args.semigroups, "--semigroups", SEMIGROUPS_MAX)
-    _bound(args.member_max, "--member-max", MEMBER_MAX_LIMIT)
-    _bound(args.d_max, "--d-max", D_MAX_LIMIT)
+    _size(args.pairs_max, "--pairs-max", PAIRS_MAX_LIMIT)
+    _size(args.semigroups, "--semigroups", SEMIGROUPS_MAX)
+    _size(args.member_max, "--member-max", MEMBER_MAX_LIMIT)
+    _size(args.d_max, "--d-max", D_MAX_LIMIT)
     ranges = SuiteRanges(pairs_max=args.pairs_max, semigroups=args.semigroups, member_max=args.member_max,
                          d_max=args.d_max, identities=tuple(args.identity))
     with _output(args.out) as write:
@@ -275,7 +281,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _bound(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
+    _size(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
     with _output(args.out) as write:
         write(_table_text(args.pairs_max, args.format))
     return 0

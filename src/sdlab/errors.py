@@ -35,10 +35,6 @@ class EmptyPlan(SdlabError):
     """Raised when a verification run's ranges give the wanted identities no check."""
 
 
-class IndexOutOfRange(SdlabError):
-    """Raised when a residue-class index is outside [0, modulus)."""
-
-
 def require_coprime(a: int, b: int) -> None:
     if a < 1 or b < 1:
         raise ValueError(f"need positive integers, got ({a}, {b})")

@@ -1,11 +1,14 @@
 """Mechanical verification of the identity catalog.
 
 One checker per identity.  Each checker computes the two sides by independent
-routes and returns an IdentityReport.  Where the identity is a polynomial
-statement, the root-of-unity average on one side is realized exactly by
-multisection and the comparison is exact (mode "exact", residual 0 on pass);
-otherwise both sides are evaluated in complex floating point against the
-defining sum (mode "float", absolute tolerance scaled by 1 + |LHS|).
+routes and returns an IdentityReport; those of prop1 and gapvalues return one
+report per residue class of the modulus they are called with.  Where the
+identity is a polynomial statement, the root-of-unity average on one side is
+realized exactly by multisection and the comparison is exact (mode "exact",
+residual 0 on pass); otherwise both sides are evaluated in complex floating
+point against the defining sum (mode "float").  A float check passes within
+FLOAT_TOL * (1 + |LHS|), except gapvalues, which applies the absolute
+GAP_VALUES_TOL, and prop2 with n >= 2, which applies PROP2_TOL * (1 + |LHS|).
 
 The catalog itself is CATALOG, next to run_suite: one row per checker with
 the report ids it emits, the statement checked and the checks run_suite
@@ -21,6 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
 from typing import Callable, NamedTuple
@@ -35,7 +39,7 @@ from .dedekind import (
     rt_poly,
     voronoi_sum,
 )
-from .errors import EmptyPlan, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity, require_coprime
+from .errors import EmptyPlan, TooLarge, UnknownIdentity, require_coprime
 from .polyring import (
     BiLaurent,
     LaurentPoly,
@@ -145,36 +149,6 @@ def check_eq1(a: int, b: int, N: int | None = None) -> IdentityReport:
 # -- section 2: Apery data from the gap polynomial -------------------------------
 
 
-def _prop1_eq2(C: LaurentPoly, s: int, k: int, fl: int, mode: str):
-    if mode == "exact":
-        lhs = monomial(s * fl)
-        rhs = ONE + ((monomial(s) - 1) * C.multisection(s, k)).shift(-k)
-        return (0.0 if lhs == rhs else 1.0), lhs == rhs
-    worst = 0.0
-    ok = True
-    for q0 in PROP1_Q_SAMPLES:
-        lhs = q0 ** (s * fl)
-        acc = 0j
-        roots = roots_of_unity(s)
-        for j in range(s):
-            acc += roots[(-j * k) % s] * C.eval_root_scaled(s, j, q0)
-        rhs = 1 + (q0**s - 1) / (s * q0**k) * acc
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        ok = ok and err <= FLOAT_TOL * (1 + abs(lhs))
-    return worst, ok
-
-
-def _prop1_eq3(S: NumericalSemigroup, s: int, k: int, fl: int, mode: str):
-    if mode == "exact":
-        count = S.class_counts(s)[k]
-        return (0.0 if fl == count else float(abs(fl - count))), fl == count
-    roots = roots_of_unity(s)
-    rhs = sum(roots[(-j * k) % s] * S.gap_poly().eval_root_of_unity(s, j) for j in range(s)) / s
-    err = abs(fl - rhs)
-    return err, err <= FLOAT_TOL * (1 + fl)
-
-
 def check_eq6(S: NumericalSemigroup, s: int) -> IdentityReport:
     """Gap polynomial reassembled from Apery geometric blocks: for a nonzero
     member s, summing q^k (1 + q^s + ... + q^{s(floor(a_k/s)-1)}) over the
@@ -185,58 +159,76 @@ def check_eq6(S: NumericalSemigroup, s: int) -> IdentityReport:
     return _finish("eq6", params, "exact", 0.0 if ok else 1.0, ok, started)
 
 
-def check_prop1(S: NumericalSemigroup, s: int, k: int, mode: str = "exact", eq: int | None = None) -> IdentityReport:
-    """Apery-element floor data of a general semigroup from its gap polynomial.
+def _prop1_reports(identity_id: str, S: NumericalSemigroup, s: int, cases, mode: str) -> list:
+    """The reports of a prop1 row at modulus s, one per case (params, class r,
+    floor): check_prop1's statement with class r and that floor.  What the cases
+    share is computed once: the class split of C_S, its class counts, or its
+    values at the s-th roots for the float routes."""
+    started = time.perf_counter()
+    C, roots = S.gap_poly(), roots_of_unity(s)
+    if identity_id in ("prop1.eq2", "prop1.eq4"):
+        if mode == "exact":
+            parts, qs_minus_1 = C.multisection(s), monomial(s) - 1
+
+            def check(r, fl):
+                ok = monomial(s * fl) == ONE + (qs_minus_1 * parts[r]).shift(-r)
+                return (0.0 if ok else 1.0), ok
+        else:
+            scaled = {q0: [C.eval_root_scaled(s, j, q0) for j in range(s)] for q0 in PROP1_Q_SAMPLES}
+
+            def check(r, fl):
+                worst, ok = 0.0, True
+                for q0, values in scaled.items():
+                    lhs = q0 ** (s * fl)
+                    acc = sum((roots[(-j * r) % s] * values[j] for j in range(s)), 0j)
+                    err = abs(lhs - (1 + (q0**s - 1) / (s * q0**r) * acc))
+                    worst = max(worst, err)
+                    ok = ok and err <= FLOAT_TOL * (1 + abs(lhs))
+                return worst, ok
+    else:
+        if mode == "exact":
+            counts, tol = S.class_counts(s), 0
+        else:
+            values = [C.eval_root_of_unity(s, j) for j in range(s)]
+            counts = [sum(roots[(-j * r) % s] * values[j] for j in range(s)) / s for r in range(s)]
+            tol = FLOAT_TOL
+
+        def check(r, fl):
+            err = abs(fl - counts[r])
+            return err, err <= tol * (1 + fl)
+    reports = []
+    for params, r, fl in cases:
+        residual, ok = check(r, fl)
+        reports.append(_finish(identity_id, params, mode, residual, ok, started))
+        started = time.perf_counter()
+    return reports
+
+
+def check_prop1(S: NumericalSemigroup, s: int, eq: int, mode: str = "exact") -> list:
+    """Apery-element floor data of a general semigroup from its gap polynomial,
+    one report per class k mod the nonzero member s.
 
     eq=2: q^{s*floor(a_k/s)} = 1 + (q^s - 1)/(s q^k) * sum_j e^{-2pi i jk/s} C_S(e^{2pi i j/s} q),
-          exact route: the j-average is the class-k multisection of C_S.
+          exact route: the j-average is the class-k part of C_S.
     eq=3: floor(a_k/s) equals the number of gaps congruent to k mod s.
-    eq=None verifies both.
     """
-    started = time.perf_counter()
-    if s <= 0 or not S.contains(s):
-        raise NotAMember(f"{s} is not a nonzero member")
-    if not 0 <= k < s:
-        raise IndexOutOfRange(f"k={k} outside [0, {s})")
-    fl = S.apery(s)[k] // s
-    C = S.gap_poly()
-    params = {**_gen_params(S), "s": s, "k": k}
-    if eq == 2:
-        residual, ok = _prop1_eq2(C, s, k, fl, mode)
-        return _finish("prop1.eq2", params, mode, residual, ok, started)
-    if eq == 3:
-        residual, ok = _prop1_eq3(S, s, k, fl, mode)
-        return _finish("prop1.eq3", params, mode, residual, ok, started)
-    r2, ok2 = _prop1_eq2(C, s, k, fl, mode)
-    r3, ok3 = _prop1_eq3(S, s, k, fl, mode)
-    return _finish("prop1", params, mode, max(r2, r3), ok2 and ok3, started)
+    if eq not in (2, 3):
+        raise ValueError(f"eq must be 2 or 3, got {eq}")
+    ap = S.apery(s)
+    gens = _gen_params(S)
+    cases = [({**gens, "s": s, "k": k}, k, ap[k] // s) for k in range(s)]
+    return _prop1_reports(f"prop1.eq{eq}", S, s, cases, mode)
 
 
-def check_prop1_ab(a: int, b: int, k: int, mode: str = "exact", eq: int | None = None) -> IdentityReport:
-    """The two-generator specialization: Apery elements of <a, b> mod b are a*k,
-    the class index is pi(k) = a*k mod b, and floor(ak/b) counts gaps in class pi(k).
-    eq=4 is the polynomial statement, eq=5 the integer one, eq=None both.
-    """
-    started = time.perf_counter()
+def check_prop1_ab(a: int, b: int, eq: int, mode: str = "exact") -> list:
+    """The two-generator specialization, one report per k < b: the Apery element
+    a*k of <a, b> mod b lies in class pi(k) = a*k mod b, which holds floor(ak/b)
+    gaps.  eq=4 is the polynomial statement, eq=5 the integer one."""
     require_coprime(a, b)
-    if not 0 <= k < b:
-        raise IndexOutOfRange(f"k={k} outside [0, {b})")
-    S = torus_semigroup(a, b)
-    C = S.gap_poly()
-    pik = a * k % b
-    fl = a * k // b
-    params = {"a": a, "b": b, "k": k}
-    # the j-sum carries e^{-2 pi i j a k / b} = e^{-2 pi i j pi(k) / b}, so the
-    # class index seen by the multisection is pi(k)
-    if eq == 4:
-        residual, ok = _prop1_eq2(C, b, pik, fl, mode)
-        return _finish("prop1.eq4", params, mode, residual, ok, started)
-    if eq == 5:
-        residual, ok = _prop1_eq3(S, b, pik, fl, mode)
-        return _finish("prop1.eq5", params, mode, residual, ok, started)
-    r4, ok4 = _prop1_eq2(C, b, pik, fl, mode)
-    r5, ok5 = _prop1_eq3(S, b, pik, fl, mode)
-    return _finish("prop1.ab", params, mode, max(r4, r5), ok4 and ok5, started)
+    if eq not in (4, 5):
+        raise ValueError(f"eq must be 4 or 5, got {eq}")
+    cases = [({"a": a, "b": b, "k": k}, a * k % b, a * k // b) for k in range(b)]
+    return _prop1_reports(f"prop1.eq{eq}", torus_semigroup(a, b), b, cases, mode)
 
 
 # -- section 3: Voronoi sums ------------------------------------------------------
@@ -320,10 +312,11 @@ def check_prop3(a: int, b: int, mode: str = "exact") -> IdentityReport:
     if mode == "exact":
         # block k fills only t-degree k - 1, so no two blocks share a key
         qb_minus_1 = monomial(b) - ONE
+        parts = C.multisection(b)
         blocks = {}
         for k in range(1, b):
             pik = a * k % b
-            for e, c in (qb_minus_1 * C.multisection(b, pik))._terms.items():
+            for e, c in (qb_minus_1 * parts[pik])._terms.items():
                 blocks[e - pik, k - 1] = c
         ok = lhs == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
         return _finish("prop3", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
@@ -424,26 +417,24 @@ def check_prop5(a: int, b: int, mode: str = "exact") -> IdentityReport:
 # -- section 5: classical Dedekind sums -------------------------------------------
 
 
-def check_gap_values(a: int, b: int, k: int) -> IdentityReport:
-    """Gap polynomial of <a, b> at the k-th b-th root of unity.
+def check_gap_values(a: int, b: int) -> list:
+    """Gap polynomial of <a, b> at every b-th root of unity, one report per k < b.
 
     k = 0: the value is the genus (a-1)(b-1)/2, checked exactly.
-    0 < k < b: C(eps^k) = a/(eps^{ka} - 1) - 1/(eps^k - 1), float comparison.
+    0 < k < b: C(eps^k) = a/(eps^{ka} - 1) - 1/(eps^k - 1), float comparison
+    against the absolute tolerance GAP_VALUES_TOL.
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    if not 0 <= k < b:
-        raise IndexOutOfRange(f"k={k} outside [0, {b})")
     S = torus_semigroup(a, b)
-    params = {"a": a, "b": b, "k": k}
-    if k == 0:
-        ok = Fraction(S.genus) == Fraction((a - 1) * (b - 1), 2)
-        return _finish("gapvalues", params, "exact", 0.0 if ok else 1.0, ok, started)
-    roots = roots_of_unity(b)
-    lhs = S.gap_poly().eval_root_of_unity(b, k)
-    rhs = a / (roots[k * a % b] - 1) - 1 / (roots[k % b] - 1)
-    err = abs(lhs - rhs)
-    return _finish("gapvalues", params, "float", err, err <= GAP_VALUES_TOL, started)
+    ok = Fraction(S.genus) == Fraction((a - 1) * (b - 1), 2)
+    reports = [_finish("gapvalues", {"a": a, "b": b, "k": 0}, "exact", 0.0 if ok else 1.0, ok, started)]
+    C, roots = S.gap_poly(), roots_of_unity(b)
+    for k in range(1, b):
+        started = time.perf_counter()
+        err = abs(C.eval_root_of_unity(b, k) - (a / (roots[k * a % b] - 1) - 1 / (roots[k] - 1)))
+        reports.append(_finish("gapvalues", {"a": a, "b": b, "k": k}, "float", err, err <= GAP_VALUES_TOL, started))
+    return reports
 
 
 def check_prop6(a: int, b: int, mode: str = "float") -> IdentityReport:
@@ -577,13 +568,13 @@ CATALOG = (
                pair=lambda a, b: (check_eq6(torus_semigroup(a, b), s) for s in (a, b)),
                semigroup=lambda S, r: (check_eq6(S, s) for s in _members(S, r))),
     CatalogRow(("prop1.eq2",), "Apery floor data of any semigroup from its gap polynomial",
-               semigroup=lambda S, r: (check_prop1(S, s, k, "exact", 2) for s in _members(S, r) for k in range(s))),
+               semigroup=lambda S, r: chain.from_iterable(check_prop1(S, s, 2) for s in _members(S, r))),
     CatalogRow(("prop1.eq3",), "floor(a_k/s) counts the gaps in class k",
-               semigroup=lambda S, r: (check_prop1(S, s, k, "exact", 3) for s in _members(S, r) for k in range(s))),
+               semigroup=lambda S, r: chain.from_iterable(check_prop1(S, s, 3) for s in _members(S, r))),
     CatalogRow(("prop1.eq4",), "prop1.eq2 for two generators (class index a*k mod b)",
-               pair=lambda a, b: (check_prop1_ab(a, b, k, "exact", 4) for k in range(b))),
+               pair=lambda a, b: check_prop1_ab(a, b, 4)),
     CatalogRow(("prop1.eq5",), "prop1.eq3 for two generators",
-               pair=lambda a, b: (check_prop1_ab(a, b, k, "exact", 5) for k in range(b))),
+               pair=lambda a, b: check_prop1_ab(a, b, 5)),
     CatalogRow(("prop2",), "Voronoi sums from gap-polynomial root values, Mirimanoff / Apostol-Bernoulli kernels",
                pair=lambda a, b: (check_prop2(a, b, m, n) for m in range(1, 5) for n in range(1, PROP2_N_MAX + 1)
                                   if b <= (PROP2_B_MAX_N1 if n == 1 else PROP2_B_MAX))),
@@ -595,7 +586,7 @@ CATALOG = (
     CatalogRow(("prop5",), "generating function of floor(ak/b) from gap-class counts",
                pair=lambda a, b: (check_prop5(a, b),)),
     CatalogRow(("gapvalues",), "gap polynomial at roots of unity in closed form; genus at 1",
-               pair=lambda a, b: (check_gap_values(a, b, k) for k in range(b))),
+               pair=lambda a, b: check_gap_values(a, b)),
     CatalogRow(("prop6.eq7",), "V_{1,1} as a root-of-unity sum plus (a-1)(b-1)^2/4",
                pair=lambda a, b: (check_prop6(a, b),)),
     CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force",

@@ -147,7 +147,7 @@ class LaurentPoly(_Sparse):
     >>> f = LaurentPoly({1: 1, 2: 1, 4: 1, 7: 1})
     >>> print(f * monomial(-1))
     1 + q + q^3 + q^6
-    >>> print(f.multisection(5, 2))
+    >>> print(f.multisection(5)[2])
     q^2 + q^7
     """
 
@@ -203,18 +203,21 @@ class LaurentPoly(_Sparse):
 
     # -- multisection and evaluation ---------------------------------------
 
-    def multisection(self, n: int, r: int) -> "LaurentPoly":
-        """Sub-polynomial of the terms whose exponents are congruent to r mod n.
+    def multisection(self, n: int) -> tuple["LaurentPoly", ...]:
+        """All n class parts in one pass: part r holds the terms whose exponents
+        are congruent to r mod n, in the order they appear in self.
 
-        This is the exact value of (1/n) * sum_j e^{-2*pi*i*jr/n} f(e^{2*pi*i*j/n} q):
+        Part r is the exact value of (1/n) * sum_j e^{-2*pi*i*jr/n} f(e^{2*pi*i*j/n} q):
         averaging over the n-th roots of unity kills every term whose exponent
         is not congruent to r mod n and keeps the rest untouched, so no
         cyclotomic arithmetic is required.
         """
         if n < 1:
             raise ValueError("modulus must be >= 1")
-        r %= n
-        return LaurentPoly._raw({e: c for e, c in self._terms.items() if e % n == r})
+        parts = [{} for _ in range(n)]
+        for e, c in self._terms.items():
+            parts[e % n][e] = c
+        return tuple(LaurentPoly._raw(part) for part in parts)
 
     def evaluate(self, x):
         """Value at x; exact for Fraction x, complex for complex x."""

@@ -253,7 +253,8 @@ class NumericalSemigroup:
     def genus_quotient_apery(self, d: int, s: int) -> int:
         """Genus of S/d as a floor sum over the Apéry set a of S with respect to d*s,
         for a nonzero s in S/d: g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s)).
-        Each summed entry is found by scanning its class upwards to a member."""
+        Each summed entry is found by scanning its class upwards to a member: that
+        visits s - 1 of the d*s classes, where apery(d*s) would build all of them."""
         if d < 1:
             raise ValueError("d must be >= 1")
         ds = d * s

@@ -269,6 +269,16 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", flag, str(limit + 1))
         assert_one_line_error(code, out, err, flag, str(limit + 1))
 
+    @pytest.mark.parametrize("flag", ["--pairs-max", "--semigroups", "--member-max", "--d-max"])
+    def test_negative_sweep_refused(self, capsys, monkeypatch, flag):
+        # --pairs-max 0 is the one empty run; a negative size is not another
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before the sweep size was checked")
+
+        monkeypatch.setattr("sdlab.cli.run_suite", no_suite)
+        code, out, err = run_cli(capsys, "verify", flag, "-1")
+        assert_one_line_error(code, out, err, flag, "-1")
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "verify", "--pairs-max", "3", "--semigroups", "0", "--out", str(missing))
@@ -327,6 +337,10 @@ class TestTableCommand:
         monkeypatch.setattr("sdlab.cli._table_text", no_table)
         code, out, err = run_cli(capsys, "table", "--pairs-max", str(TABLE_PAIRS_MAX + 1))
         assert_one_line_error(code, out, err, "--pairs-max", str(TABLE_PAIRS_MAX + 1))
+
+    def test_negative_pairs_max_refused(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--pairs-max", "-4")
+        assert_one_line_error(code, out, err, "--pairs-max", "-4")
 
     def test_unwritable_out_refused_before_the_table(self, capsys, tmp_path, monkeypatch):
         def no_table(*args, **kwargs):

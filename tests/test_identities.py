@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdlab.dedekind import apostol_bernoulli, mirimanoff
-from sdlab.errors import EmptyPlan, GcdNotOne, IndexOutOfRange, NotAMember, TooLarge, UnknownIdentity
+from sdlab.errors import EmptyPlan, GcdNotOne, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
 import sdlab
 from sdlab.identities import (
@@ -78,11 +79,15 @@ class TestEq6:
         assert reports and all(r.identity_id == "eq6" and r.verdict == "pass" for r in reports)
 
 
+def passes(reports) -> bool:
+    return bool(reports) and all(r.verdict == "pass" for r in reports)
+
+
 class TestProp1:
     def test_examples(self):
-        assert check_prop1(torus_semigroup(3, 5), 5, 2).verdict == "pass"
-        assert check_prop1(NumericalSemigroup.from_generators([1]), 1, 0).verdict == "pass"
-        assert check_prop1(NumericalSemigroup.from_generators([4, 7, 9]), 4, 1).verdict == "pass"
+        for S, s in ((torus_semigroup(3, 5), 5), (NumericalSemigroup.from_generators([1]), 1),
+                     (NumericalSemigroup.from_generators([4, 7, 9]), 4)):
+            assert passes(check_prop1(S, s, 2)) and passes(check_prop1(S, s, 3))
 
     def test_example_floor_values(self):
         S = NumericalSemigroup.from_generators([4, 7, 9])
@@ -91,24 +96,25 @@ class TestProp1:
 
     def test_per_equation_ids(self):
         S = torus_semigroup(3, 5)
-        assert check_prop1(S, 5, 2, eq=2).identity_id == "prop1.eq2"
-        assert check_prop1(S, 5, 2, eq=3).identity_id == "prop1.eq3"
+        for eq in (2, 3):
+            reports = check_prop1(S, 5, eq)
+            assert {r.identity_id for r in reports} == {f"prop1.eq{eq}"}
+            assert [r.params for r in reports] == [{"g1": 3, "g2": 5, "s": 5, "k": k} for k in range(5)]
 
     def test_errors(self):
         S = torus_semigroup(3, 5)
         with pytest.raises(NotAMember):
-            check_prop1(S, 4, 0)
-        with pytest.raises(IndexOutOfRange):
-            check_prop1(S, 5, 5)
+            check_prop1(S, 4, 2)
+        with pytest.raises(ValueError):
+            check_prop1(S, 5, 4)
 
     def test_modes_agree(self):
         rng = random.Random(31)
         for S in random_semigroups(4, rng):
             for s in [s for s in range(1, 13) if S.contains(s)]:
-                for k in range(s):
-                    exact = check_prop1(S, s, k, mode="exact")
-                    fl = check_prop1(S, s, k, mode="float")
-                    assert exact.verdict == fl.verdict == "pass"
+                for eq in (2, 3):
+                    assert passes(check_prop1(S, s, eq, mode="exact"))
+                    assert passes(check_prop1(S, s, eq, mode="float"))
 
     def test_float_stable_at_large_moduli(self):
         # the q^{-k} factor in the literal right side must not sink the float
@@ -116,26 +122,40 @@ class TestProp1:
         for gens in ([2, 3], [2, 29], [5, 7, 9]):
             S = NumericalSemigroup.from_generators(gens)
             s = max(x for x in range(1, 26) if S.contains(x))
-            for k in range(s):
-                assert check_prop1(S, s, k, mode="float").verdict == "pass"
+            assert passes(check_prop1(S, s, 2, mode="float")) and passes(check_prop1(S, s, 3, mode="float"))
+
+    @pytest.mark.parametrize("identity_id", ["prop1.eq2", "prop1.eq3"])
+    def test_one_apery_set_per_modulus(self, monkeypatch, identity_id):
+        calls = Counter()
+        apery = NumericalSemigroup.apery
+
+        def counted(S, s):
+            calls[id(S), s] += 1
+            return apery(S, s)
+
+        monkeypatch.setattr(NumericalSemigroup, "apery", counted)
+        reports = run_suite(SuiteRanges(semigroups=4, member_max=30, identities=(identity_id,)), seed=0)
+        moduli = sum(len([s for s in range(1, 31) if S.contains(s)]) for S in random_semigroups(4, random.Random(0)))
+        assert len(calls) == moduli and set(calls.values()) == {1}
+        assert len(reports) == sum(s for _, s in calls)
 
 
 class TestProp1AB:
     def test_examples(self):
-        assert check_prop1_ab(3, 5, 4).verdict == "pass"
-        assert check_prop1_ab(5, 7, 0).verdict == "pass"
-        assert check_prop1_ab(2, 3, 2).verdict == "pass"
+        for a, b in ((3, 5), (5, 7), (2, 3)):
+            assert passes(check_prop1_ab(a, b, 4)) and passes(check_prop1_ab(a, b, 5))
+        assert [r.params["k"] for r in check_prop1_ab(3, 5, 4)] == [0, 1, 2, 3, 4]
 
     def test_all_classes_small_sweep(self):
         for a, b in coprime_pairs(10):
-            for k in range(b):
-                assert check_prop1_ab(a, b, k).verdict == "pass"
-                assert check_prop1_ab(a, b, k, mode="float").verdict == "pass"
+            for eq in (4, 5):
+                assert passes(check_prop1_ab(a, b, eq))
+                assert passes(check_prop1_ab(a, b, eq, mode="float"))
 
     def test_errors(self):
         with pytest.raises(GcdNotOne):
-            check_prop1_ab(2, 4, 0)
-        with pytest.raises(IndexOutOfRange):
+            check_prop1_ab(2, 4, 4)
+        with pytest.raises(ValueError):
             check_prop1_ab(2, 3, 3)
 
 
@@ -214,9 +234,9 @@ class TestCountRoutesNotVacuous:
     Apery set: counts taken from the Apery set would hide it."""
 
     def test_prop1_eq3(self):
+        # one call checks every class: only k = 2, the class of 6, fails
         S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
-        assert check_prop1(S, 4, 2, eq=3).verdict == "fail"
-        assert check_prop1(S, 4, 1, eq=3).verdict == "pass"
+        assert [r.params["k"] for r in check_prop1(S, 4, 3) if r.verdict == "fail"] == [2]
 
     @pytest.fixture
     def broken_3_5(self, monkeypatch):
@@ -226,8 +246,7 @@ class TestCountRoutesNotVacuous:
         monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: bad)
 
     def test_prop1_eq5(self, broken_3_5):
-        assert check_prop1_ab(3, 5, 4, eq=5).verdict == "fail"
-        assert check_prop1_ab(3, 5, 1, eq=5).verdict == "pass"
+        assert [r.params["k"] for r in check_prop1_ab(3, 5, 5) if r.verdict == "fail"] == [4]
 
     def test_prop5_exact(self, broken_3_5):
         assert check_prop5(3, 5, mode="exact").verdict == "fail"
@@ -291,16 +310,19 @@ class TestProp5:
 
 class TestGapValues:
     def test_genus_at_one(self):
-        assert check_gap_values(3, 5, 0).verdict == "pass"
-        assert check_gap_values(2, 3, 0).verdict == "pass"
+        for a, b in ((3, 5), (2, 3)):
+            r = check_gap_values(a, b)[0]
+            assert r.params["k"] == 0 and r.mode == "exact" and r.verdict == "pass"
 
     def test_roots(self):
-        r = check_gap_values(3, 5, 1)
-        assert r.verdict == "pass" and r.residual < 1e-9
+        r = check_gap_values(3, 5)[1]
+        assert r.params["k"] == 1 and r.verdict == "pass" and r.residual < 1e-9
 
-    def test_index_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            check_gap_values(3, 5, 5)
+    def test_one_report_per_root(self):
+        reports = check_gap_values(3, 5)
+        assert [r.params for r in reports] == [{"a": 3, "b": 5, "k": k} for k in range(5)]
+        assert [r.mode for r in reports] == ["exact"] + ["float"] * 4
+        assert passes(reports)
 
 
 class TestProp6:

@@ -156,31 +156,21 @@ class TestCoefficientContract:
 class TestMultisection:
     def test_class_extraction(self):
         f = LaurentPoly({g: 1 for g in pair_gaps(3, 5)})
-        assert f.multisection(5, 2) == LaurentPoly({2: 1, 7: 1})
-        assert f.multisection(5, 0).is_zero()
+        parts = f.multisection(5)
+        assert parts[2] == LaurentPoly({2: 1, 7: 1})
+        assert parts[0].is_zero()
 
     def test_single_class_is_identity(self):
         rng = random.Random(1)
         for _ in range(20):
             f = random_poly(rng)
-            assert f.multisection(1, 0) == f
-
-    def test_classes_partition(self):
-        rng = random.Random(2)
-        for _ in range(40):
-            f = random_poly(rng, max_terms=20, lo=-10, hi=40)
-            n = rng.randint(1, 12)
-            total = ZERO
-            for r in range(n):
-                part = f.multisection(n, r)
-                assert all(e % n == r for e in part.support())
-                total = total + part
-            assert total == f
+            assert f.multisection(1) == (f,)
 
     def test_negative_exponent_classes(self):
         f = LaurentPoly({-7: 1, -2: 2, 3: 3})
-        assert f.multisection(5, 3) == LaurentPoly({-7: 1, -2: 2, 3: 3})
-        assert f.multisection(5, -2) == f.multisection(5, 3)
+        parts = f.multisection(5)
+        assert parts[3] == parts[-2] == f
+        assert all(part.is_zero() for r, part in enumerate(parts) if r != 3)
 
 
 class TestRootEvaluation:
@@ -229,23 +219,26 @@ class TestRootEvaluation:
 class TestRootClassSum:
     def test_equals_multisection(self):
         f = LaurentPoly({g: 1 for g in pair_gaps(3, 5)})
-        assert f.multisection(5, 2) == LaurentPoly({2: 1, 7: 1})
-        assert ZERO.multisection(4, 1).is_zero()
-        assert monomial(3).multisection(3, 0) == monomial(3)
+        assert f.multisection(5)[2] == LaurentPoly({2: 1, 7: 1})
+        assert ZERO.multisection(4) == (ZERO,) * 4
+        assert monomial(3).multisection(3)[0] == monomial(3)
 
     def test_agrees_with_literal_float_average(self):
-        # the core library invariant: exact multisection equals the literal
-        # root-of-unity average at every sample point
+        # the core library invariant: the n parts of one multisection sum to f,
+        # part r holds only exponents congruent to r mod n, and each part equals
+        # the literal root-of-unity average at every sample point
         rng = random.Random(6)
         for _ in range(25):
             f = random_poly(rng, max_terms=200, lo=-5, hi=200, cmax=100)
             n = rng.randint(1, 20)
-            k = rng.randint(0, n - 1)
-            part = f.multisection(n, k)
-            for _ in range(5):
-                q = rng.uniform(0.45, 0.95)
-                literal = literal_class_avg(f.items(), n, k, q)
-                assert abs(literal - part.evaluate(q)) < 1e-8
+            parts = f.multisection(n)
+            assert len(parts) == n and sum(parts, ZERO) == f
+            for r, part in enumerate(parts):
+                assert all(e % n == r for e in part.support())
+                for _ in range(2):
+                    q = rng.uniform(0.45, 0.95)
+                    literal = literal_class_avg(f.items(), n, r, q)
+                    assert abs(literal - part.evaluate(q)) < 1e-8
 
 
 class TestGeomSum:
