@@ -166,6 +166,19 @@ class TestMultisection:
             f = random_poly(rng)
             assert f.multisection(1) == (f,)
 
+    def test_classes_partition(self):
+        rng = random.Random(2)
+        for _ in range(40):
+            f = random_poly(rng, max_terms=20, lo=-10, hi=40)
+            n = rng.randint(1, 12)
+            parts = f.multisection(n)
+            assert len(parts) == n
+            total = ZERO
+            for r, part in enumerate(parts):
+                assert all(e % n == r for e in part.support())
+                total = total + part
+            assert total == f
+
     def test_negative_exponent_classes(self):
         f = LaurentPoly({-7: 1, -2: 2, 3: 3})
         parts = f.multisection(5)
