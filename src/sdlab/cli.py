@@ -23,7 +23,7 @@ from .dedekind import (
     voronoi_sum,
     zolotarev,
 )
-from .errors import SdlabError
+from .errors import EmptyPlan, SdlabError
 from .identities import CATALOG, SuiteRanges, coprime_pairs, reports_to_csv, reports_to_json, run_suite, summarize
 from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 
@@ -282,6 +282,8 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     _size(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
+    if args.pairs_max < 3:  # the first coprime pair is (2, 3)
+        raise EmptyPlan(f"no pair to tabulate: --pairs-max {args.pairs_max} < 3")
     with _output(args.out) as write:
         write(_table_text(args.pairs_max, args.format))
     return 0

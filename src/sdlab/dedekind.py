@@ -215,6 +215,8 @@ def carlitz_floor_sum(a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def carlitz_sawtooth_poly(a: int, b: int) -> LaurentPoly:
-    """sum_{k=0}^{b-1} (a*k/b - floor(a*k/b) - 1/2) q^k, exact rational coefficients."""
+    """sum_{k=0}^{b-1} (a*k/b - floor(a*k/b) - 1/2) q^k, exact rational coefficients.
+
+    The coefficient of q^k is (2*(a*k mod b) - b)/(2b), built as one Fraction."""
     require_coprime(a, b)
-    return LaurentPoly({k: Fraction(a * k, b) - (a * k // b) - Fraction(1, 2) for k in range(b)})
+    return LaurentPoly({k: Fraction(2 * (a * k % b) - b, 2 * b) for k in range(b)})

@@ -335,6 +335,22 @@ def check_prop3(a: int, b: int, mode: str = "exact") -> IdentityReport:
     return _finish("prop3", {"a": a, "b": b}, "float", worst, ok, started)
 
 
+def _t11_sum(a: int, b: int, q0: float, t0: float) -> tuple[float, int]:
+    """T_{1,1}(q0, t0) from its defining sum, and its term count, in O(b).
+
+    Block k is q^{pi(k)} (q^{b*fl} - 1)/(q^b - 1) * (t^k - 1)/(t - 1) with
+    fl = floor(ak/b), pi(k) = ak mod b: fl powers of q times k powers of t.
+    pi(k) fixes k, so no two blocks share a key and the count is sum_k k*fl.
+    """
+    qb = q0**b
+    value, count = 0.0, 0
+    for k in range(1, b):
+        fl, pik = divmod(a * k, b)
+        value += q0**pik * (qb**fl - 1) / (qb - 1) * (t0**k - 1) / (t0 - 1)
+        count += k * fl
+    return value, count
+
+
 def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     """The two bivariate floor-sum displays.
 
@@ -347,7 +363,10 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
        checker compares T_{1,1} by definition against q^j * R_{1,1}(q^b, t) for
        every face value j = pi(k) and reports expected-discrepancy unless all
        readings agree (they do only when both sides vanish, i.e. a = 1).  No
-       corrected formula is assumed.
+       corrected formula is assumed.  T_{1,1} is valued at QT_SAMPLE and
+       counted from its defining sum (_t11_sum); a shift keeps the term count,
+       so it is expanded and compared reading by reading only when its count
+       equals the display's.  The display is valued term by term from R_{1,1}.
     """
     started = time.perf_counter()
     require_coprime(a, b)
@@ -368,18 +387,19 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     r_report = _finish("prop4.R11", params, "exact", 0.0 if ok_r else 1.0, ok_r, started)
 
     started_t = time.perf_counter()
-    t11 = rt_poly("T", 1, 1, a, b)
-    display_base = r11.scale_q(b)
-    # pi(k) = a*k mod b permutes 1..b-1 for coprime a, b; a shift keeps the term count
-    all_match = len(display_base) == len(t11) and all(display_base.shift(j, 0) == t11 for j in range(1, b))
-    canonical = display_base.shift(a % b, 0)  # reading at the first index k = 1
     q0, t0 = QT_SAMPLE
-    tv = t11.evaluate(q0, t0)
+    tv, t11_count = _t11_sum(a, b, q0, t0)
+    display_base = r11.scale_q(b)
+    all_match = t11_count == len(display_base)
+    if all_match:
+        t11 = rt_poly("T", 1, 1, a, b)
+        all_match = all(display_base.shift(j, 0) == t11 for j in range(1, b))
+    canonical = display_base.shift(a % b, 0)  # reading at the first index k = 1
     dv = canonical.evaluate(q0, t0)
     residual = abs(tv - dv)
     notes = (
         f"T11 by definition = {tv:.12g}, display with k=1 reading = {dv:.12g} "
-        f"at (q,t)=({q0},{t0}); term counts {len(t11)} vs {len(canonical)}"
+        f"at (q,t)=({q0},{t0}); term counts {t11_count} vs {len(canonical)}"
     )
     t_report = _finish(
         "prop4.T11", params, "exact", residual, all_match, started_t,
@@ -496,15 +516,27 @@ def check_cor510(a: int, b: int) -> IdentityReport:
 
 def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
     """The sawtooth generating polynomial against its rational closed form,
-    compared as rational functions over (q-1)^2."""
+    compared as rational functions over (q-1)^2.
+
+    Both sides are scaled by 2b, which makes them integer polynomials:
+    2b * lhs * (q-1)^2 = 2a (b q^b (q-1) - q (q^b - 1)) - b (q^b - 1)(q - 1)
+    - 2b (q-1)^2 sum_k floor(ak/b) q^k.  A coefficient of lhs whose
+    denominator does not divide 2b fails the check.
+    """
     started = time.perf_counter()
-    lhs = carlitz_sawtooth_poly(a, b)
-    q = monomial(1)
-    qb = monomial(b)
-    deriv_num = b * qb * (q - 1) - (qb - ONE).shift(1)  # b q^b (q-1) - q (q^b - 1)
+    two_b = 2 * b
+    scaled = {}
+    for e, c in carlitz_sawtooth_poly(a, b)._terms.items():
+        if two_b % c.denominator:
+            return _finish("sawtoothpoly", {"a": a, "b": b}, "exact", 1.0, False, started)
+        scaled[e] = c.numerator * (two_b // c.denominator)
+    q1 = monomial(1) - ONE
+    q1_sq = q1 * q1
+    qb_minus_1 = monomial(b) - ONE
+    deriv_num = b * monomial(b) * q1 - qb_minus_1.shift(1)  # b q^b (q-1) - q (q^b - 1)
     floor_poly = LaurentPoly({k: a * k // b for k in range(b)})
-    rhs_num = Fraction(a, b) * deriv_num - (qb - ONE) * (q - ONE) * Fraction(1, 2) - floor_poly * (q - ONE) ** 2
-    ok = rational_eq(lhs, ONE, rhs_num, (q - ONE) ** 2)
+    rhs = 2 * a * deriv_num - b * qb_minus_1 * q1 - two_b * floor_poly * q1_sq
+    ok = LaurentPoly._raw(scaled) * q1_sq == rhs
     return _finish("sawtoothpoly", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
 
 
@@ -670,24 +702,26 @@ def report_to_obj(r: IdentityReport, include_timings: bool = False) -> dict:
     return obj
 
 
-def _obj_json(obj: dict, indent: str) -> str:
-    fields = []
-    for k, v in sorted(obj.items()):
-        if isinstance(v, dict):
-            v = _obj_json(v, indent + "  ") if v else "{}"
-        elif isinstance(v, float) and not isfinite(v):
-            v = json.dumps(v)
-        else:
-            v = encode_basestring_ascii(v) if isinstance(v, str) else repr(v)
-        fields.append(f"{indent}  {encode_basestring_ascii(k)}: {v}")
-    return "{\n" + ",\n".join(fields) + "\n" + indent + "}"
+def _json_num(x: float) -> str:
+    return repr(x) if isfinite(x) else json.dumps(x)
 
 
 def reports_to_json(reports, include_timings: bool = False) -> str:
     """json.dumps([report_to_obj(r) ...], indent=2, sort_keys=True) + "\n", byte
-    for byte; an indent makes json.dumps run its pure-Python encoder, so the
-    layout is fixed here and only scalars are encoded, strings in C."""
-    objs = [_obj_json(report_to_obj(r, include_timings), "  ") for r in reports]
+    for byte; an indent makes json.dumps run its pure-Python encoder, so every
+    report is written here from one template with its keys in sorted order,
+    strings encoded in C."""
+    objs = []
+    for r in reports:
+        elapsed = _json_num(_sig12(r.elapsed_ms)) if include_timings else "0.0"
+        notes = "" if r.notes is None else f'    "notes": {encode_basestring_ascii(r.notes)},\n'
+        params = ",\n".join(f"      {encode_basestring_ascii(k)}: {v!r}" for k, v in sorted(r.params.items()))
+        params = f"{{\n{params}\n    }}" if params else "{}"
+        objs.append(
+            f'{{\n    "elapsed_ms": {elapsed},\n    "id": {encode_basestring_ascii(r.identity_id)},\n'
+            f'    "mode": {encode_basestring_ascii(r.mode)},\n{notes}    "params": {params},\n'
+            f'    "residual": {_json_num(_sig12(r.residual))},\n    "verdict": {encode_basestring_ascii(r.verdict)}\n  }}'
+        )
     return "[\n  " + ",\n  ".join(objs) + "\n]\n" if objs else "[]\n"
 
 

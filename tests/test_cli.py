@@ -342,6 +342,14 @@ class TestTableCommand:
         code, out, err = run_cli(capsys, "table", "--pairs-max", "-4")
         assert_one_line_error(code, out, err, "--pairs-max", "-4")
 
+    @pytest.mark.parametrize("pairs_max", ["0", "1", "2"])
+    def test_empty_table_refused(self, capsys, tmp_path, pairs_max):
+        out_file = tmp_path / "table.csv"
+        out_file.write_text("kept\n")
+        code, out, err = run_cli(capsys, "table", "--pairs-max", pairs_max, "--out", str(out_file))
+        assert_one_line_error(code, out, err, "--pairs-max", pairs_max)
+        assert out_file.read_text() == "kept\n"
+
     def test_unwritable_out_refused_before_the_table(self, capsys, tmp_path, monkeypatch):
         def no_table(*args, **kwargs):
             raise AssertionError("the table was built before --out was checked")

@@ -3,13 +3,14 @@ import json
 import pkgutil
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdlab.dedekind import apostol_bernoulli, mirimanoff
+from sdlab.dedekind import apostol_bernoulli, carlitz_sawtooth_poly, mirimanoff, rt_poly
 from sdlab.errors import EmptyPlan, GcdNotOne, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
 import sdlab
@@ -19,10 +20,12 @@ from sdlab.identities import (
     PROP2_B_MAX,
     PROP2_B_MAX_N1,
     PROP2_N_MAX,
+    QT_SAMPLE,
     IdentityReport,
     SuiteRanges,
     _prop2_kernels,
     _prop2_rhs,
+    _t11_sum,
     check_cor510,
     check_eq1,
     check_eq6,
@@ -44,6 +47,7 @@ from sdlab.identities import (
     run_suite,
     summarize,
 )
+from sdlab.polyring import monomial
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
 from oracles import prop2_composition_sums
@@ -296,6 +300,33 @@ class TestProp4:
         _, t = check_prop4(1, 5)
         assert t.verdict == "pass"
 
+    def test_t11_sum_matches_expansion(self):
+        q0, t0 = QT_SAMPLE
+        pairs = coprime_pairs(20) + [(1, b) for b in range(2, 30)]
+        assert (2, 3) in pairs
+        for a, b in pairs:
+            t11 = rt_poly("T", 1, 1, a, b)
+            value, count = _t11_sum(a, b, q0, t0)
+            assert count == len(t11), (a, b)
+            assert value == pytest.approx(t11.evaluate(q0, t0), rel=1e-12, abs=0), (a, b)
+
+    def test_t11_expanded_only_when_counts_agree(self, monkeypatch):
+        # the counts agree at (2, 3) alone among the default pairs, so T11 is
+        # expanded there and valued and counted from its defining sum elsewhere
+        def no_t(kind, *args):
+            if kind == "T":
+                raise AssertionError("T11 expanded")
+            return rt_poly(kind, *args)
+
+        monkeypatch.setattr(sdlab.identities, "rt_poly", no_t)
+        for a, b in coprime_pairs(SuiteRanges().pairs_max):
+            if (a, b) == (2, 3):
+                with pytest.raises(AssertionError, match="T11 expanded"):
+                    check_prop4(a, b)
+            else:
+                _, t = check_prop4(a, b)
+                assert t.verdict == "expected-discrepancy", (a, b)
+
 
 class TestProp5:
     def test_examples(self):
@@ -368,6 +399,16 @@ class TestExtraChecks:
     def test_sawtooth_poly(self):
         for a, b in coprime_pairs(12):
             assert check_sawtooth_poly(a, b).verdict == "pass"
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 5), Fraction(2, 15)], ids=["off-by-1/(2b)", "denominator-3b"])
+    def test_sawtooth_poly_not_vacuous(self, monkeypatch, coeff):
+        # the coefficient of q for (3, 5) is 1/10, which 2b = 10 scales to 1;
+        # 2/15 scales to 4/3, which truncation would take for that 1
+        true = carlitz_sawtooth_poly(3, 5)
+        assert true.coeff(1) == Fraction(1, 10)
+        broken = true + monomial(1, coeff - Fraction(1, 10))
+        monkeypatch.setattr(sdlab.identities, "carlitz_sawtooth_poly", lambda a, b: broken)
+        assert check_sawtooth_poly(3, 5).verdict == "fail"
 
 
 class TestSuite:
