@@ -120,6 +120,12 @@ def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _bernoulli_poly(k: int, q):
+    """The classical Bernoulli polynomial B_k(q) = sum_i C(k, i) B_i q^{k-i}."""
+    numbers = _bernoulli_numbers(k)
+    return sum(math.comb(k, i) * numbers[i] * q ** (k - i) for i in range(k + 1))
+
+
 def apostol_bernoulli(k: int, q, lam):
     """B_k(q, lam): coefficients of t*e^{tq} / (lam*e^t - 1).
 
@@ -131,14 +137,24 @@ def apostol_bernoulli(k: int, q, lam):
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam == 1:
-        numbers = _bernoulli_numbers(k)
-        return sum(math.comb(k, i) * numbers[i] * q ** (k - i) for i in range(k + 1))
+        return _bernoulli_poly(k, q)
+    return apostol_bernoulli_values(k, q, lam)[k]
+
+
+def apostol_bernoulli_values(k: int, q, lam) -> tuple:
+    """(B_0(q, lam), ..., B_k(q, lam)) from one run of apostol_bernoulli's
+    recurrence: its n-th value does not depend on the target k, so entry n is
+    apostol_bernoulli(n, q, lam), bit for bit, for every n <= k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if lam == 1:
+        return tuple(_bernoulli_poly(n, q) for n in range(k + 1))
     vals = [Fraction(0) if not isinstance(lam, complex) else 0j]
     for n in range(1, k + 1):
         rhs = n * q ** (n - 1)
         acc = rhs - lam * sum(math.comb(n, i) * vals[i] for i in range(n))
         vals.append(acc / (lam - 1))
-    return vals[k]
+    return tuple(vals)
 
 
 def mirimanoff_vs_apostol_check(lam, m: int, b: int) -> float:
@@ -159,7 +175,7 @@ def mirimanoff_vs_apostol_check(lam, m: int, b: int) -> float:
 def carlitz_poly(a: int, b: int) -> BiLaurent:
     """c(q, t; a, b) = sum_{k=1}^{b-1} q^{floor(a*k/b)} t^{k-1}."""
     require_coprime(a, b)
-    return BiLaurent({(a * k // b, k - 1): 1 for k in range(1, b)})
+    return BiLaurent._raw({(a * k // b, k - 1): 1 for k in range(1, b)})
 
 
 def dj_poly(j: int, a: int, b: int) -> BiLaurent:

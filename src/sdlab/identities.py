@@ -24,13 +24,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
+from operator import add
 from typing import Callable, NamedTuple
 
 from .dedekind import (
-    apostol_bernoulli,
+    apostol_bernoulli_values,
     carlitz_floor_sum,
     carlitz_poly,
     carlitz_sawtooth_poly,
@@ -67,6 +68,8 @@ QT_SAMPLE = (0.37, 0.59)
 PROP2_N_MAX = 3
 PROP2_B_MAX_N1 = 40
 PROP2_B_MAX = 12
+# the catalog's prop2 row sweeps m = 1..PROP2_M_MAX
+PROP2_M_MAX = 4
 
 
 @dataclass
@@ -234,22 +237,39 @@ def check_prop1_ab(a: int, b: int, eq: int, mode: str = "exact") -> list:
 # -- section 3: Voronoi sums ------------------------------------------------------
 
 
+@lru_cache(maxsize=4)  # run_suite sweeps b in ascending order
+def _apostol_bernoulli_at_roots(b: int, k: int) -> tuple:
+    """(B_0..B_k at q = b, B_0..B_k at q = 0) for lam = eps^r at every b-th
+    root, indexed by r: one run of the recurrence per (q, root)."""
+    return tuple((apostol_bernoulli_values(k, b, lam), apostol_bernoulli_values(k, 0, lam)) for lam in roots_of_unity(b))
+
+
 @lru_cache(maxsize=256)  # every b <= 40 for m up to 6
 def _prop2_kernels(b: int, m: int) -> tuple[tuple, tuple]:
     """Both prop2 kernels at every b-th root eps^r, indexed by r, once per
-    (b, m): M_{b-1}(eps^r, m) and (B_{m+1}(b, eps^r) - B_{m+1}(0, eps^r))/(m+1)."""
-    roots = roots_of_unity(b)
-    mir = tuple(mirimanoff(lam, m, b) for lam in roots)
-    ab = tuple(complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1) for lam in roots)
+    (b, m): M_{b-1}(eps^r, m) and (B_{m+1}(b, eps^r) - B_{m+1}(0, eps^r))/(m+1).
+    The Apostol-Bernoulli values of every m <= PROP2_M_MAX are read from one
+    recurrence run per (q, root), to order PROP2_M_MAX + 1 (or m + 1 if larger)."""
+    mir = tuple(mirimanoff(lam, m, b) for lam in roots_of_unity(b))
+    values = _apostol_bernoulli_at_roots(b, max(m, PROP2_M_MAX) + 1)
+    ab = tuple(complex(at_b[m + 1] - at_0[m + 1]) / (m + 1) for at_b, at_0 in values)
     return mir, ab
+
+
+@lru_cache(maxsize=16)  # run_suite checks one pair at a time, n <= PROP2_N_MAX
+def _cyclic_power(a: int, b: int, n: int) -> tuple:
+    """(sum_j C(eps^j) x^j)^n mod (x^b - 1) as its b coefficients, once per
+    (a, b, n): the n-th power is one cyclic convolution of the (n-1)-th with C."""
+    Cj = _gap_root_values(a, b)
+    if n == 1:
+        return Cj
+    P = _cyclic_power(a, b, n - 1)
+    return tuple(sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b))
 
 
 def _prop2_rhs(a: int, b: int, m: int, n: int) -> tuple[complex, complex]:
     """The two right-hand sides of check_prop2, (Mirimanoff form, Apostol-Bernoulli form)."""
-    Cj = _gap_root_values(a, b)
-    P = Cj
-    for _ in range(n - 1):
-        P = [sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b)]
+    P = _cyclic_power(a, b, n)
     mir, ab = _prop2_kernels(b, m)
     rhs_mir = sum(P[r] * mir[(-a * r) % b] for r in range(b)) / b**n
     rhs_ab = sum(P[r] * ab[(-a * r) % b] for r in range(b)) / b**n
@@ -269,7 +289,9 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
     power P = (sum_j C(eps^j) x^j)^n mod (x^b - 1), built with n - 1 cyclic
     convolutions, followed by sum_r P[r] K(eps^{-ar}): b kernel evaluations
     per form.  n = 1 is the same formula with P = C.  The root values come from
-    the cache _gap_root_values, the kernel values from the cache _prop2_kernels.
+    the cache _gap_root_values, the powers from the cache _cyclic_power (each
+    built once per (a, b, n), P^n from P^(n-1)), the kernel values from the
+    cache _prop2_kernels.
 
     The check is float only.  n = 1 is allowed up to b = 40 at a tighter
     tolerance; n in [2, 3] requires b <= 12.
@@ -351,12 +373,46 @@ def _t11_sum(a: int, b: int, q0: float, t0: float) -> tuple[float, int]:
     return value, count
 
 
+def _grid(p: BiLaurent, rows: int, cols: int) -> list | None:
+    """The coefficients of p on the box [0, rows) x [0, cols), row i holding
+    q^i; None if p has a term outside the box."""
+    grid = [[0] * cols for _ in range(rows)]
+    for (i, j), c in p._terms.items():
+        if not (0 <= i < rows and 0 <= j < cols):
+            return None
+        grid[i][j] = c
+    return grid
+
+
+def _prefix_sums(p: BiLaurent, rows: int, cols: int) -> list | None:
+    """p / ((q-1)(t-1)) as a power series, on the box and in the layout of
+    _grid; None if p has a term outside the box.
+
+    (q-1)(t-1) = (1-q)(1-t), whose inverse is sum_{i,j} q^i t^j, so the
+    quotient's (i, j) coefficient is the sum of p's over [0, i] x [0, j]: a
+    running sum along t in each row, then running row sums along q.
+    """
+    grid = _grid(p, rows, cols)
+    if grid is None:
+        return None
+    acc = [0] * cols
+    for i, row in enumerate(grid):
+        grid[i] = acc = list(map(add, acc, accumulate(row)))
+    return grid
+
+
 def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     """The two bivariate floor-sum displays.
 
-    R: R_{1,1}(q,t) (q-1)(t-1) must equal
+    R: R_{1,1}(q,t) (q-1)(t-1) must equal the display's right side
        t c(q,t) - (b-1)(q^{a-1}-1) - t(t^{b-1}-1)/(t-1) + (q-1) sum_k floor(bk/a) q^{k-1},
-       checked exactly after cross-multiplying.
+       checked exactly by division: the right side's 2-D prefix sums
+       (_prefix_sums) must equal R_{1,1} = rt_poly("R", 1, 1, a, b) on the box
+       one row and one column past R_{1,1}'s support, and the right side must
+       lie in that box.  The prefix sums then determine the right side on the
+       box as R_{1,1}'s finite differences, which is R_{1,1} (q-1)(t-1); R_{1,1}
+       with a stray term on the box's edge fails, and a = 1 (both sides zero)
+       passes.
 
     T: the companion display factors q^{pi(k)} out of a sum over k, leaving the
        index unbound; stripped of that factor it reads R_{1,1}(q^b, t).  The
@@ -376,14 +432,16 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
 
     r11 = rt_poly("R", 1, 1, a, b)
     floor_corr = BiLaurent({(k - 1, 0): b * k // a for k in range(1, a)})
-    lhs = r11 * (q - 1) * (t - 1)
     rhs = (
         t * carlitz_poly(a, b)
         - (b - 1) * (bi_monomial(a - 1, 0) - 1)
         - from_t(geom_sum(b - 1)).shift(0, 1)
         + (q - 1) * floor_corr
     )
-    ok_r = lhs == rhs
+    rows = 2 + max((i for i, _ in r11._terms), default=-1)
+    cols = 2 + max((j for _, j in r11._terms), default=-1)
+    want = _grid(r11, rows, cols)  # None only if R11 has a negative exponent
+    ok_r = want is not None and _prefix_sums(rhs, rows, cols) == want
     r_report = _finish("prop4.R11", params, "exact", 0.0 if ok_r else 1.0, ok_r, started)
 
     started_t = time.perf_counter()
@@ -442,17 +500,19 @@ def check_gap_values(a: int, b: int) -> list:
 
     k = 0: the value is the genus (a-1)(b-1)/2, checked exactly.
     0 < k < b: C(eps^k) = a/(eps^{ka} - 1) - 1/(eps^k - 1), float comparison
-    against the absolute tolerance GAP_VALUES_TOL.
+    against the absolute tolerance GAP_VALUES_TOL.  C(eps^k) is read from
+    _gap_root_values, the defining sum over the gaps regrouped by class mod b
+    (class_counts(b) of the gap list), so it does not use the closed form.
     """
     started = time.perf_counter()
     require_coprime(a, b)
     S = torus_semigroup(a, b)
     ok = Fraction(S.genus) == Fraction((a - 1) * (b - 1), 2)
     reports = [_finish("gapvalues", {"a": a, "b": b, "k": 0}, "exact", 0.0 if ok else 1.0, ok, started)]
-    C, roots = S.gap_poly(), roots_of_unity(b)
+    values, roots = _gap_root_values(a, b), roots_of_unity(b)
     for k in range(1, b):
         started = time.perf_counter()
-        err = abs(C.eval_root_of_unity(b, k) - (a / (roots[k * a % b] - 1) - 1 / (roots[k] - 1)))
+        err = abs(values[k] - (a / (roots[k * a % b] - 1) - 1 / (roots[k] - 1)))
         reports.append(_finish("gapvalues", {"a": a, "b": b, "k": k}, "float", err, err <= GAP_VALUES_TOL, started))
     return reports
 
@@ -608,7 +668,7 @@ CATALOG = (
     CatalogRow(("prop1.eq5",), "prop1.eq3 for two generators",
                pair=lambda a, b: check_prop1_ab(a, b, 5)),
     CatalogRow(("prop2",), "Voronoi sums from gap-polynomial root values, Mirimanoff / Apostol-Bernoulli kernels",
-               pair=lambda a, b: (check_prop2(a, b, m, n) for m in range(1, 5) for n in range(1, PROP2_N_MAX + 1)
+               pair=lambda a, b: (check_prop2(a, b, m, n) for m in range(1, PROP2_M_MAX + 1) for n in range(1, PROP2_N_MAX + 1)
                                   if b <= (PROP2_B_MAX_N1 if n == 1 else PROP2_B_MAX))),
     CatalogRow(("prop3",), "Dedekind-Carlitz c(q^b, t) from gap polynomials",
                pair=lambda a, b: (check_prop3(a, b),)),

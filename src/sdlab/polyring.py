@@ -50,19 +50,32 @@ class _Sparse:
         data = {}
         for key, c in items:
             if not isinstance(c, coeffs):
-                names = ", ".join(t.__name__ for t in coeffs)
-                raise TypeError(f"{type(self).__name__} coefficient must be one of {names}, got {type(c).__name__}")
+                self._check_coeff(c)  # raises
             if c:
                 key = norm(key)
                 data[key] = data.get(key, 0) + c
         self._terms = {k: c for k, c in data.items() if c}
 
     @classmethod
+    def _check_coeff(cls, c) -> None:
+        if not isinstance(c, cls._COEFFS):
+            names = ", ".join(t.__name__ for t in cls._COEFFS)
+            raise TypeError(f"{cls.__name__} coefficient must be one of {names}, got {type(c).__name__}")
+
+    @classmethod
     def _raw(cls, terms: dict):
-        """Wrap a dict that holds no zero coefficient, without copying it."""
+        """Wrap a dict that holds no zero coefficient, without copying it.  Library
+        code that builds such a dict by construction (unique keys, coefficients
+        known to be valid) wraps it here; the public constructors validate."""
         p = cls.__new__(cls)
         p._terms = terms
         return p
+
+    @classmethod
+    def _term(cls, key, c):
+        """The one-term polynomial c * key, its coefficient checked as the constructor would."""
+        cls._check_coeff(c)
+        return cls._raw({cls._key(key): c} if c else {})
 
     # -- inspection -------------------------------------------------------
 
@@ -307,7 +320,7 @@ def constant(c) -> LaurentPoly:
 
 
 def monomial(e: int, c=1) -> LaurentPoly:
-    return LaurentPoly({e: c})
+    return LaurentPoly._term(e, c)
 
 
 def geom_sum(m: int) -> LaurentPoly:
@@ -392,7 +405,7 @@ class BiLaurent(_Sparse):
 
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:
-    return BiLaurent({(eq, et): c})
+    return BiLaurent._term((eq, et), c)
 
 
 def from_t(p: LaurentPoly) -> BiLaurent:

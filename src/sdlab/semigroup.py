@@ -198,7 +198,7 @@ class NumericalSemigroup:
 
     def hilbert_trunc(self, n: int) -> LaurentPoly:
         """Truncated Hilbert series: sum of q^k over members k <= n."""
-        return LaurentPoly(dict.fromkeys(self.members(n), 1))
+        return LaurentPoly._raw(dict.fromkeys(self.members(n), 1))
 
     def class_counts(self, n: int) -> tuple[int, ...]:
         """counts[r] = the number of gaps congruent to r mod n, memoized per n.  Counted
@@ -221,7 +221,7 @@ class NumericalSemigroup:
         """
         _bound(self.genus, "genus")
         ap = self.apery(s)
-        return LaurentPoly({k + s * i: 1 for k in range(1, s) for i in range(ap[k] // s)})
+        return LaurentPoly._raw({k + s * i: 1 for k in range(1, s) for i in range(ap[k] // s)})
 
     # -- quotient semigroups ---------------------------------------------------
 

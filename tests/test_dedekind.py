@@ -7,6 +7,7 @@ import pytest
 
 from sdlab.dedekind import (
     apostol_bernoulli,
+    apostol_bernoulli_values,
     carlitz_floor_sum,
     carlitz_poly,
     carlitz_sawtooth_poly,
@@ -156,6 +157,17 @@ class TestApostolBernoulli:
                 lhs = sum(k**m for k in range(b))
                 rhs = (apostol_bernoulli(m + 1, b, 1) - apostol_bernoulli(m + 1, 0, 1)) / (m + 1)
                 assert lhs == rhs
+
+
+    def test_values_are_every_order_of_one_run(self):
+        # entry n of one run equals the order-n value, at every kind of lam
+        for q in (Fraction(3, 7), 0, 11):
+            for lam in (1, 1 + 0j, Fraction(-2, 3), *roots_of_unity(7)[1:]):
+                values = apostol_bernoulli_values(6, q, lam)
+                assert len(values) == 7
+                assert values == tuple(apostol_bernoulli(n, q, lam) for n in range(7)), (q, lam)
+        with pytest.raises(ValueError):
+            apostol_bernoulli_values(-1, 0, 2)
 
 
 class TestMirimanoffApostolRelation:

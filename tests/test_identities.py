@@ -23,6 +23,7 @@ from sdlab.identities import (
     QT_SAMPLE,
     IdentityReport,
     SuiteRanges,
+    _gap_root_values,
     _prop2_kernels,
     _prop2_rhs,
     _t11_sum,
@@ -47,7 +48,7 @@ from sdlab.identities import (
     run_suite,
     summarize,
 )
-from sdlab.polyring import monomial
+from sdlab.polyring import BiLaurent, LaurentPoly, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
 from oracles import prop2_composition_sums
@@ -193,6 +194,50 @@ class TestProp2:
                     for got, exp in zip(_prop2_rhs(a, b, m, n), want):
                         assert abs(got - exp) <= 1e-12 * abs(exp), (a, b, m, n)
 
+    @staticmethod
+    def rhs_per_call(a, b, m, n):
+        """_prop2_rhs as it was computed with no cache past the root values: the
+        power built afresh, each kernel value from its own Apostol-Bernoulli run."""
+        Cj = _gap_root_values(a, b)
+        P = Cj
+        for _ in range(n - 1):
+            P = [sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b)]
+        roots = roots_of_unity(b)
+        mir = [mirimanoff(lam, m, b) for lam in roots]
+        ab = [complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1) for lam in roots]
+        return (
+            sum(P[r] * mir[(-a * r) % b] for r in range(b)) / b**n,
+            sum(P[r] * ab[(-a * r) % b] for r in range(b)) / b**n,
+        )
+
+    def test_rhs_bit_identical_to_per_call_route(self):
+        cases = [(a, b, m, n) for a, b in coprime_pairs(PROP2_B_MAX, amin=1) for m in range(1, 5) for n in range(1, 4)]
+        cases += [(a, b, m, 1) for a, b in coprime_pairs(PROP2_B_MAX_N1, amin=1) if b > PROP2_B_MAX for m in range(1, 5)]
+        for a, b, m, n in cases:
+            assert _prop2_rhs(a, b, m, n) == self.rhs_per_call(a, b, m, n), (a, b, m, n)
+        # past the catalog's m the table is run deeper, not read past its end
+        assert _prop2_rhs(3, 7, 6, 2) == self.rhs_per_call(3, 7, 6, 2)
+
+    def test_recurrence_once_per_q_and_root(self, monkeypatch):
+        # every Apostol-Bernoulli entry point identities uses, whichever it has
+        runs = Counter()
+        for name in ("apostol_bernoulli", "apostol_bernoulli_values"):
+            fn = getattr(sdlab.identities, name, None)
+            if fn is not None:
+                def counted(k, q, lam, fn=fn):
+                    runs[q, lam] += 1
+                    return fn(k, q, lam)
+                monkeypatch.setattr(sdlab.identities, name, counted)
+        for obj in vars(sdlab.identities).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        reports = run_suite(SuiteRanges(pairs_max=PROP2_B_MAX, semigroups=0, identities=("prop2",)))
+        assert {r.params["m"] for r in reports} == {1, 2, 3, 4}
+        bs = {r.params["b"] for r in reports}
+        # q is b or 0; q = 0 is shared by every b whose roots include lam
+        assert sum(runs.values()) <= 2 * sum(bs), sum(runs.values())
+        assert max(runs.values()) <= len(bs)
+
     def test_large_b_linear_case(self):
         from sdlab.dedekind import voronoi_sum
 
@@ -216,6 +261,13 @@ class TestCaches:
 
     def test_pairs_max_40_run_fits(self):
         assert _prop2_kernels.cache_parameters()["maxsize"] >= (PROP2_B_MAX_N1 - 2) * 4
+
+    def test_root_values_built_once_per_pair(self):
+        # past b = 40 prop2 stops and 16 cached pairs are long gone, so every
+        # row that reads a pair's root values must read them while it is current
+        _gap_root_values.cache_clear()
+        run_suite(SuiteRanges(pairs_max=44, semigroups=0, identities=("prop2", "gapvalues", "prop6")), seed=0)
+        assert _gap_root_values.cache_info().misses == len(coprime_pairs(44))
 
     def test_each_pair_built_once_past_the_cli_limit(self):
         # eq1 and prop5 both build the pair's semigroup; a run that took the
@@ -283,10 +335,49 @@ class TestProp3:
 
 class TestProp4:
     def test_r_identity(self):
-        for a, b in ((3, 5), (2, 3), (1, 6), (4, 9)):
+        for a, b in ((3, 5), (2, 3), (1, 6), (4, 9), (9, 4), (12, 7)):
             r, _ = check_prop4(a, b)
             assert r.identity_id == "prop4.R11"
             assert r.verdict == "pass" and r.residual == 0.0
+
+    def test_r_identity_when_both_sides_vanish(self):
+        for b in range(2, 12):
+            assert rt_poly("R", 1, 1, 1, b).is_zero()
+            r, _ = check_prop4(1, b)
+            assert r.verdict == "pass" and r.residual == 0.0
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (4, 9), (7, 12), (9, 4)])
+    @pytest.mark.parametrize("where", ["coefficient", "last-row", "last-column", "corner", "below"])
+    def test_r_not_vacuous(self, monkeypatch, a, b, where):
+        true = rt_poly("R", 1, 1, a, b)
+        top_q = max(i for i, _ in true._terms)
+        top_t = max(j for _, j in true._terms)
+        # one coefficient off, or one stray term in the row or column just past
+        # R11's support (the edge of the box the prefix sums are taken on)
+        stray = {
+            "coefficient": (top_q, 0, 1),
+            "last-row": (top_q + 1, 0, 1),
+            "last-column": (0, top_t + 1, -1),
+            "corner": (top_q + 1, top_t + 1, 1),
+            "below": (-1, 0, 1),
+        }[where]
+        broken = true + bi_monomial(*stray)
+
+        def patched(kind, *args):
+            return broken if kind == "R" else rt_poly(kind, *args)
+
+        monkeypatch.setattr(sdlab.identities, "rt_poly", patched)
+        r, _ = check_prop4(a, b)
+        assert r.verdict == "fail"
+
+    def test_r_fails_when_both_sides_leave_the_box(self, monkeypatch):
+        # an R11 term below the box and a right-side term past it must not
+        # compare equal as two refusals
+        true_r, true_c = rt_poly("R", 1, 1, 3, 5), sdlab.identities.carlitz_poly(3, 5)
+        monkeypatch.setattr(sdlab.identities, "rt_poly", lambda kind, *args: true_r + bi_monomial(-1, 0))
+        monkeypatch.setattr(sdlab.identities, "carlitz_poly", lambda a, b: true_c + bi_monomial(50, 0))
+        r, _ = check_prop4(3, 5)
+        assert r.verdict == "fail"
 
     def test_t_discrepancy_documented(self):
         _, t = check_prop4(3, 5)
@@ -354,6 +445,21 @@ class TestGapValues:
         assert [r.params for r in reports] == [{"a": 3, "b": 5, "k": k} for k in range(5)]
         assert [r.mode for r in reports] == ["exact"] + ["float"] * 4
         assert passes(reports)
+
+    def test_values_read_from_the_pair_root_values(self, monkeypatch):
+        def literal(*args):
+            raise AssertionError("gap polynomial evaluated term by term")
+
+        monkeypatch.setattr(LaurentPoly, "eval_root_of_unity", literal)
+        for a, b in coprime_pairs(SuiteRanges().pairs_max):
+            assert passes(check_gap_values(a, b)), (a, b)
+
+    def test_regrouped_values_match_literal_evaluation(self):
+        for a, b in coprime_pairs(40, amin=1):
+            C = torus_semigroup(a, b).gap_poly()
+            for k, value in enumerate(_gap_root_values(a, b)):
+                literal = C.eval_root_of_unity(b, k)
+                assert abs(value - literal) <= 1e-12 * (1 + abs(literal)), (a, b, k)
 
 
 class TestProp6:

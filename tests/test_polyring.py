@@ -18,8 +18,10 @@ from sdlab.polyring import (
     rational_eq,
     roots_of_unity,
 )
+from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
-from sdlab.semigroup import alexander_closed_form
+from sdlab.identities import coprime_pairs
+from sdlab.semigroup import alexander_closed_form, torus_semigroup
 
 from oracles import literal_class_avg, pair_gaps
 
@@ -151,6 +153,42 @@ class TestCoefficientContract:
             assert 3 - p == 3 * one - p == -(p - 3)
             assert (p - 3) + 3 == p
             assert one * Fraction(5, 2) == Fraction(5, 2)
+
+
+class TestConstructorGuards:
+    """Public constructors validate; library builders with unique keys and unit
+    coefficients wrap their dicts unchecked and must build the same polynomial."""
+
+    def test_monomials_check_their_coefficient(self):
+        with pytest.raises(TypeError):
+            monomial(2, 0.5)
+        with pytest.raises(TypeError):
+            bi_monomial(1, 1, 0.5)
+        with pytest.raises(TypeError):
+            constant(1j)
+        assert monomial(3, 0) == 0 and monomial(3, 0).is_zero()
+        assert bi_monomial(1, 1, 0).is_zero()
+        assert bi_monomial(1, 1, 2j) == BiLaurent({(1, 1): 2j})
+        assert monomial(-2, Fraction(1, 3)) == LaurentPoly({-2: Fraction(1, 3)})
+
+    def test_sawtooth_poly_keeps_validating(self):
+        # 2 * (1 * 2 mod 4) = 4: the coefficient of q^2 is zero and must be dropped
+        p = carlitz_sawtooth_poly(1, 4)
+        assert 0 not in p._terms.values()
+        assert p.support() == [0, 1, 3]
+
+    def test_unchecked_builders_equal_validated_forms(self):
+        for a, b in coprime_pairs(20, amin=1):
+            S = torus_semigroup(a, b)
+            n = a * b
+            built = [
+                (S.hilbert_trunc(n), LaurentPoly(dict.fromkeys(S.members(n), 1))),
+                (carlitz_poly(a, b), BiLaurent({(a * k // b, k - 1): 1 for k in range(1, b)})),
+            ]
+            built += [(S.gap_poly_from_apery(s), LaurentPoly(dict.fromkeys(S.gaps, 1))) for s in (a, b)]
+            for got, want in built:
+                assert type(got) is type(want) and got._terms == want._terms, (a, b)
+                assert all(type(c) is int and c for c in got._terms.values()), (a, b)
 
 
 class TestMultisection:
