@@ -48,7 +48,7 @@ from sdlab.identities import (
     run_suite,
     summarize,
 )
-from sdlab.polyring import BiLaurent, LaurentPoly, bi_monomial, monomial, roots_of_unity
+from sdlab.polyring import LaurentPoly, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
 from oracles import prop2_composition_sums
