@@ -35,7 +35,6 @@ from .dedekind import (
     carlitz_floor_sum,
     carlitz_poly,
     carlitz_sawtooth_poly,
-    dj_poly,
     mirimanoff,
     rt_poly,
     voronoi_sum,
@@ -57,12 +56,6 @@ from .semigroup import NumericalSemigroup, torus_semigroup
 FLOAT_TOL = 1e-8
 PROP2_TOL = 1e-6
 GAP_VALUES_TOL = 1e-9
-# fixed sample points keep float checks deterministic run to run
-Q_SAMPLES = (0.31, 0.57, 0.83)
-# the literal right side of the Apery floor identity divides by q^k, which
-# amplifies roundoff by q^{-k}; sampling near 1 keeps that factor small for
-# moduli up to a few dozen
-PROP1_Q_SAMPLES = (0.9, 0.94, 0.97)
 QT_SAMPLE = (0.37, 0.59)
 # check_prop2 ceilings: n <= 3, and b <= 40 for n = 1, b <= 12 for n >= 2
 PROP2_N_MAX = 3
@@ -162,57 +155,39 @@ def check_eq6(S: NumericalSemigroup, s: int) -> IdentityReport:
     return _finish("eq6", params, "exact", 0.0 if ok else 1.0, ok, started)
 
 
-def _prop1_reports(identity_id: str, S: NumericalSemigroup, s: int, cases, mode: str) -> list:
+def _prop1_reports(identity_id: str, S: NumericalSemigroup, s: int, cases) -> list:
     """The reports of a prop1 row at modulus s, one per case (params, class r,
     floor): check_prop1's statement with class r and that floor.  What the cases
-    share is computed once: the class split of C_S, its class counts, or its
-    values at the s-th roots for the float routes."""
+    share is computed once: the class split of C_S, or its class counts."""
     started = time.perf_counter()
-    C, roots = S.gap_poly(), roots_of_unity(s)
     if identity_id in ("prop1.eq2", "prop1.eq4"):
-        if mode == "exact":
-            parts, qs_minus_1 = C.multisection(s), monomial(s) - 1
+        parts = S.gap_poly().multisection(s)
 
-            def check(r, fl):
-                ok = monomial(s * fl) == ONE + (qs_minus_1 * parts[r]).shift(-r)
-                return (0.0 if ok else 1.0), ok
-        else:
-            scaled = {q0: [C.eval_root_scaled(s, j, q0) for j in range(s)] for q0 in PROP1_Q_SAMPLES}
-
-            def check(r, fl):
-                worst, ok = 0.0, True
-                for q0, values in scaled.items():
-                    lhs = q0 ** (s * fl)
-                    acc = sum((roots[(-j * r) % s] * values[j] for j in range(s)), 0j)
-                    err = abs(lhs - (1 + (q0**s - 1) / (s * q0**r) * acc))
-                    worst = max(worst, err)
-                    ok = ok and err <= FLOAT_TOL * (1 + abs(lhs))
-                return worst, ok
+        def check(r, fl):
+            # (q^s - 1) * part, shifted by q^{-r}
+            ok = monomial(s * fl) == ONE + parts[r].shift(s - r) - parts[r].shift(-r)
+            return (0.0 if ok else 1.0), ok
     else:
-        if mode == "exact":
-            counts, tol = S.class_counts(s), 0
-        else:
-            values = [C.eval_root_of_unity(s, j) for j in range(s)]
-            counts = [sum(roots[(-j * r) % s] * values[j] for j in range(s)) / s for r in range(s)]
-            tol = FLOAT_TOL
+        counts = S.class_counts(s)
 
         def check(r, fl):
             err = abs(fl - counts[r])
-            return err, err <= tol * (1 + fl)
+            return err, err == 0
     reports = []
     for params, r, fl in cases:
         residual, ok = check(r, fl)
-        reports.append(_finish(identity_id, params, mode, residual, ok, started))
+        reports.append(_finish(identity_id, params, "exact", residual, ok, started))
         started = time.perf_counter()
     return reports
 
 
-def check_prop1(S: NumericalSemigroup, s: int, eq: int, mode: str = "exact") -> list:
+def check_prop1(S: NumericalSemigroup, s: int, eq: int) -> list:
     """Apery-element floor data of a general semigroup from its gap polynomial,
-    one report per class k mod the nonzero member s.
+    one report per class k mod the nonzero member s, all exact.
 
-    eq=2: q^{s*floor(a_k/s)} = 1 + (q^s - 1)/(s q^k) * sum_j e^{-2pi i jk/s} C_S(e^{2pi i j/s} q),
-          exact route: the j-average is the class-k part of C_S.
+    eq=2: q^{s*floor(a_k/s)} = 1 + (q^s - 1)/(s q^k) * sum_j e^{-2pi i jk/s} C_S(e^{2pi i j/s} q);
+          the j-average is the class-k part of C_S (multisection), so both
+          sides are Laurent polynomials.
     eq=3: floor(a_k/s) equals the number of gaps congruent to k mod s.
     """
     if eq not in (2, 3):
@@ -220,18 +195,18 @@ def check_prop1(S: NumericalSemigroup, s: int, eq: int, mode: str = "exact") -> 
     ap = S.apery(s)
     gens = _gen_params(S)
     cases = [({**gens, "s": s, "k": k}, k, ap[k] // s) for k in range(s)]
-    return _prop1_reports(f"prop1.eq{eq}", S, s, cases, mode)
+    return _prop1_reports(f"prop1.eq{eq}", S, s, cases)
 
 
-def check_prop1_ab(a: int, b: int, eq: int, mode: str = "exact") -> list:
+def check_prop1_ab(a: int, b: int, eq: int) -> list:
     """The two-generator specialization, one report per k < b: the Apery element
     a*k of <a, b> mod b lies in class pi(k) = a*k mod b, which holds floor(ak/b)
-    gaps.  eq=4 is the polynomial statement, eq=5 the integer one."""
+    gaps.  eq=4 is the polynomial statement, eq=5 the integer one; both exact."""
     require_coprime(a, b)
     if eq not in (4, 5):
         raise ValueError(f"eq must be 4 or 5, got {eq}")
     cases = [({"a": a, "b": b, "k": k}, a * k % b, a * k // b) for k in range(b)]
-    return _prop1_reports(f"prop1.eq{eq}", torus_semigroup(a, b), b, cases, mode)
+    return _prop1_reports(f"prop1.eq{eq}", torus_semigroup(a, b), b, cases)
 
 
 # -- section 3: Voronoi sums ------------------------------------------------------
@@ -319,42 +294,25 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
 # -- section 4: Dedekind-Carlitz polynomials --------------------------------------
 
 
-def check_prop3(a: int, b: int, mode: str = "exact") -> IdentityReport:
+def check_prop3(a: int, b: int) -> IdentityReport:
     """c(q^b, t; a, b) = (t^{b-1}-1)/(t-1) + (q^b-1)/b * sum_j d_j(q, t) C(eps^j q).
 
-    Exact route: for each k the j-average collapses to the class-pi(k)
-    multisection of the gap polynomial, so both sides are exact bivariate
-    Laurent polynomials.  Float route evaluates the literal j-sum with d_j.
+    Checked exactly: for each k the j-average collapses to the class-pi(k)
+    multisection of the gap polynomial, so both sides are bivariate Laurent
+    polynomials.
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    S = torus_semigroup(a, b)
-    C = S.gap_poly()
-    lhs = carlitz_poly(a, b).scale_q(b)
-    if mode == "exact":
-        # block k fills only t-degree k - 1, so no two blocks share a key
-        qb_minus_1 = monomial(b) - ONE
-        parts = C.multisection(b)
-        blocks = {}
-        for k in range(1, b):
-            pik = a * k % b
-            for e, c in (qb_minus_1 * parts[pik])._terms.items():
-                blocks[e - pik, k - 1] = c
-        ok = lhs == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
-        return _finish("prop3", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
-    worst = 0.0
-    ok = True
-    # q near 1 keeps the q^{-pi(k)} factors inside d_j from amplifying roundoff
-    for q0, t0 in ((0.9, 0.59), (0.86, 0.43)):
-        lhs_v = lhs.evaluate(complex(q0), complex(t0))
-        acc = 0j
-        for j in range(b):
-            acc += dj_poly(j, a, b).evaluate(complex(q0), complex(t0)) * C.eval_root_scaled(b, j, q0)
-        rhs_v = geom_sum(b - 1).evaluate(t0) + (q0**b - 1) / b * acc
-        err = abs(lhs_v - rhs_v)
-        worst = max(worst, err)
-        ok = ok and err <= FLOAT_TOL * (1 + abs(lhs_v))
-    return _finish("prop3", {"a": a, "b": b}, "float", worst, ok, started)
+    parts = torus_semigroup(a, b).gap_poly().multisection(b)
+    # block k, (q^b - 1) * part pi(k) shifted by q^{-pi(k)}, fills only
+    # t-degree k - 1, so no two blocks share a key
+    blocks = {}
+    for k in range(1, b):
+        pik = a * k % b
+        for e, c in (parts[pik].shift(b) - parts[pik])._terms.items():
+            blocks[e - pik, k - 1] = c
+    ok = carlitz_poly(a, b).scale_q(b) == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
+    return _finish("prop3", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
 
 
 def _t11_sum(a: int, b: int, q0: float, t0: float) -> tuple[float, int]:
@@ -466,30 +424,18 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     return r_report, t_report
 
 
-def check_prop5(a: int, b: int, mode: str = "exact") -> IdentityReport:
+def check_prop5(a: int, b: int) -> IdentityReport:
     """sum_{k=0}^{b-1} floor(ak/b) q^k = (q^b-1)/b * sum_j C(eps^j) / (eps^{-ja} q - 1).
 
-    Exact route: expanding (q^b-1)/(eps^{-ja} q - 1) geometrically shows the
-    coefficient of q^i on the right is the number of gaps in class a*i mod b,
-    which must equal floor(ai/b).  Float route evaluates the literal sum.
+    Checked exactly: expanding (q^b-1)/(eps^{-ja} q - 1) geometrically shows
+    the coefficient of q^i on the right is the number of gaps in class a*i
+    mod b, which must equal floor(ai/b).
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    if mode == "exact":
-        counts = torus_semigroup(a, b).class_counts(b)
-        ok = all(a * i // b == counts[(a * i) % b] for i in range(b))
-        return _finish("prop5", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
-    roots = roots_of_unity(b)
-    cj = _gap_root_values(a, b)
-    worst = 0.0
-    ok = True
-    for q0 in Q_SAMPLES:
-        lhs = sum((a * i // b) * q0**i for i in range(b))
-        rhs = (q0**b - 1) / b * sum(cj[j] / (roots[(-j * a) % b] * q0 - 1) for j in range(b))
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        ok = ok and err <= FLOAT_TOL * (1 + abs(lhs))
-    return _finish("prop5", {"a": a, "b": b}, "float", worst, ok, started)
+    counts = torus_semigroup(a, b).class_counts(b)
+    ok = all(a * i // b == counts[(a * i) % b] for i in range(b))
+    return _finish("prop5", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
 
 
 # -- section 5: classical Dedekind sums -------------------------------------------
@@ -517,31 +463,20 @@ def check_gap_values(a: int, b: int) -> list:
     return reports
 
 
-def check_prop6(a: int, b: int, mode: str = "float") -> IdentityReport:
+def check_prop6(a: int, b: int) -> IdentityReport:
     """V_{1,1}(a, b) = sum_{j=1}^{b-1} C(eps^j)/(eps^{-ja} - 1) + (a-1)(b-1)^2/4.
 
-    Float route: the defining integer sum against the literal complex sum.
-    Exact route: the root-sum coefficients 1/(eps^{-ja}-1) arise from the
-    power-weighted kernel, so the j-sum equals
-    sum_k k * (#gaps in class ak mod b) - genus*(b-1)/2, all exact rationals;
-    the counts are class_counts(b) of <a, b>, and the genus is their sum.
+    Float: the defining integer sum against the literal complex sum, with
+    C(eps^j) read from _gap_root_values.
     """
     started = time.perf_counter()
     require_coprime(a, b)
     v = voronoi_sum(a, b, 1, 1)
-    correction = Fraction((a - 1) * (b - 1) ** 2, 4)
-    params = {"a": a, "b": b}
-    if mode == "exact":
-        counts = torus_semigroup(a, b).class_counts(b)
-        trig = sum(k * counts[a * k % b] for k in range(1, b)) - Fraction(sum(counts) * (b - 1), 2)
-        ok = Fraction(v) == trig + correction
-        return _finish("prop6.eq7", params, "exact", 0.0 if ok else 1.0, ok, started)
     roots = roots_of_unity(b)
     cj = _gap_root_values(a, b)
     trig = sum((cj[j] / (roots[(-j * a) % b] - 1) for j in range(1, b)), 0j)
-    rhs = trig + float(correction)
-    err = abs(v - rhs)
-    return _finish("prop6.eq7", params, "float", err, err <= FLOAT_TOL * (1 + abs(v)), started)
+    err = abs(v - (trig + (a - 1) * (b - 1) ** 2 / 4))
+    return _finish("prop6.eq7", {"a": a, "b": b}, "float", err, err <= FLOAT_TOL * (1 + abs(v)), started)
 
 
 # -- section 6: quotient semigroups ------------------------------------------------

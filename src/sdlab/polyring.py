@@ -241,11 +241,6 @@ class LaurentPoly(_Sparse):
         roots = roots_of_unity(n)
         return sum((float(c) * roots[(j * e) % n] for e, c in self._terms.items()), 0j)
 
-    def eval_root_scaled(self, n: int, j: int, x) -> complex:
-        """Value at e^{2*pi*i*j/n} * x for real or complex x != 0."""
-        roots = roots_of_unity(n)
-        return sum((float(c) * roots[(j * e) % n] * x**e for e, c in self._terms.items()), 0j)
-
     # -- division ----------------------------------------------------------
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -107,14 +107,14 @@ class NumericalSemigroup:
 
     __slots__ = ("_generators", "ap", "multiplicity", "frobenius", "genus", "_gaps", "_gap_poly_cache", "_class_counts")
 
-    def __init__(self, generators: tuple[int, ...] | None, ap: tuple[int, ...], gaps: tuple[int, ...] | None = None):
-        # internal; use from_generators.  None generators are listed when read; `gaps` replaces the list made from ap
+    def __init__(self, generators: tuple[int, ...] | None, ap: tuple[int, ...]):
+        # internal; use from_generators.  None generators are listed when read
         self._generators = generators
         self.ap = ap
         self.multiplicity = m = len(ap)
         self.frobenius = max(ap) - m
         self.genus = sum(a // m for a in ap)
-        self._gaps = gaps
+        self._gaps = None
         self._gap_poly_cache = None
         self._class_counts = {}
 

@@ -79,6 +79,42 @@ def literal_class_avg(terms, n: int, k: int, q: float) -> complex:
     return total / n
 
 
+def _pair_root_values(a: int, b: int, q: complex = 1) -> list:
+    """C(eps^j q) for j < b, summed literally over the gaps of <a, b>."""
+    gaps = pair_gaps(a, b)
+    return [sum(((cmath.exp(2j * cmath.pi * j / b) * q) ** g for g in gaps), 0j) for j in range(b)]
+
+
+def prop3_dj_sum(a: int, b: int, q: float, t: float) -> complex:
+    """(t^{b-1}-1)/(t-1) + (q^b-1)/b * sum_j d_j(q, t) C(eps^j q), literally in
+    complex, with d_j(q, t) = sum_{k=1}^{b-1} eps^{-jak} t^{k-1} / q^{ak mod b}."""
+    total = 0j
+    for j, c in enumerate(_pair_root_values(a, b, q)):
+        d = sum(cmath.exp(-2j * cmath.pi * j * a * k / b) * t ** (k - 1) / q ** (a * k % b) for k in range(1, b))
+        total += d * c
+    return sum(t**k for k in range(b - 1)) + (q**b - 1) / b * total
+
+
+def prop5_kernel_sum(a: int, b: int, q: float) -> complex:
+    """(q^b-1)/b * sum_j C(eps^j) / (eps^{-ja} q - 1), literally in complex."""
+    total = 0j
+    for j, c in enumerate(_pair_root_values(a, b)):
+        total += c / (cmath.exp(-2j * cmath.pi * j * a / b) * q - 1)
+    return (q**b - 1) / b * total
+
+
+def prop6_class_count_form(a: int, b: int) -> Fraction:
+    """The root sum of prop6 plus (a-1)(b-1)^2/4, exactly: the coefficients
+    1/(eps^{-ja}-1) arise from the power-weighted kernel, so the j-sum is
+    sum_k k * (#gaps in class ak mod b) - genus*(b-1)/2."""
+    gaps = pair_gaps(a, b)
+    counts = [0] * b
+    for g in gaps:
+        counts[g % b] += 1
+    trig = sum(k * counts[a * k % b] for k in range(1, b)) - Fraction(len(gaps) * (b - 1), 2)
+    return trig + Fraction((a - 1) * (b - 1) ** 2, 4)
+
+
 def dedekind_kb_form(a: int, b: int) -> Fraction:
     """sum_{k=1}^{b-1} (k/b) * ((a*k/b)) — the second displayed form, exact."""
     total = Fraction(0)

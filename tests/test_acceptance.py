@@ -83,11 +83,11 @@ def test_criterion_03_apery_floor_extraction(population):
     ok = True
     for a, b in coprime_pairs(30):
         for eq in (4, 5):
-            ok = ok and all(r.verdict == "pass" for r in check_prop1_ab(a, b, eq, mode="exact"))
+            ok = ok and all(r.verdict == "pass" for r in check_prop1_ab(a, b, eq))
     for S in population:
         for s in (s for s in range(1, 26) if S.contains(s)):
             for eq in (2, 3):
-                ok = ok and all(r.verdict == "pass" for r in check_prop1(S, s, eq, mode="exact"))
+                ok = ok and all(r.verdict == "pass" for r in check_prop1(S, s, eq))
     elapsed = time.perf_counter() - start
     _report(3, "floor data from gap polynomial, all pairs and 20 random semigroups", ok and elapsed < 30.0, elapsed)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdlab.dedekind import apostol_bernoulli, carlitz_sawtooth_poly, mirimanoff, rt_poly
+from sdlab.dedekind import apostol_bernoulli, carlitz_poly, carlitz_sawtooth_poly, mirimanoff, rt_poly, voronoi_sum
 from sdlab.errors import EmptyPlan, GcdNotOne, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
 import sdlab
@@ -51,7 +51,7 @@ from sdlab.identities import (
 from sdlab.polyring import LaurentPoly, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
-from oracles import prop2_composition_sums
+from oracles import prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
 
 
 class TestEq1:
@@ -113,22 +113,6 @@ class TestProp1:
         with pytest.raises(ValueError):
             check_prop1(S, 5, 4)
 
-    def test_modes_agree(self):
-        rng = random.Random(31)
-        for S in random_semigroups(4, rng):
-            for s in [s for s in range(1, 13) if S.contains(s)]:
-                for eq in (2, 3):
-                    assert passes(check_prop1(S, s, eq, mode="exact"))
-                    assert passes(check_prop1(S, s, eq, mode="float"))
-
-    def test_float_stable_at_large_moduli(self):
-        # the q^{-k} factor in the literal right side must not sink the float
-        # route for the largest residues of the largest allowed modulus
-        for gens in ([2, 3], [2, 29], [5, 7, 9]):
-            S = NumericalSemigroup.from_generators(gens)
-            s = max(x for x in range(1, 26) if S.contains(x))
-            assert passes(check_prop1(S, s, 2, mode="float")) and passes(check_prop1(S, s, 3, mode="float"))
-
     @pytest.mark.parametrize("identity_id", ["prop1.eq2", "prop1.eq3"])
     def test_one_apery_set_per_modulus(self, monkeypatch, identity_id):
         calls = Counter()
@@ -155,7 +139,6 @@ class TestProp1AB:
         for a, b in coprime_pairs(10):
             for eq in (4, 5):
                 assert passes(check_prop1_ab(a, b, eq))
-                assert passes(check_prop1_ab(a, b, eq, mode="float"))
 
     def test_errors(self):
         with pytest.raises(GcdNotOne):
@@ -282,11 +265,13 @@ def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
     """S with g missing from its gap list but not from its Apery set, so that
     a gap count and an Apery floor can disagree."""
     assert g in S.gaps
-    return NumericalSemigroup(S.generators, S.ap, tuple(x for x in S.gaps if x != g))
+    broken = NumericalSemigroup(S.generators, S.ap)
+    broken._gaps = tuple(x for x in S.gaps if x != g)
+    return broken
 
 
 class TestCountRoutesNotVacuous:
-    """The exact count routes must see a gap list that disagrees with the
+    """The routes the catalog runs must see a gap list that disagrees with the
     Apery set: counts taken from the Apery set would hide it."""
 
     def test_prop1_eq3(self):
@@ -297,18 +282,27 @@ class TestCountRoutesNotVacuous:
     @pytest.fixture
     def broken_3_5(self, monkeypatch):
         # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
-        # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide
+        # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide.
+        # The pair's root values are cached, so they are rebuilt from the
+        # broken semigroup here and dropped afterwards.
         bad = drop_gap(torus_semigroup(3, 5), 7)
         monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: bad)
+        _gap_root_values.cache_clear()
+        yield
+        _gap_root_values.cache_clear()
 
     def test_prop1_eq5(self, broken_3_5):
         assert [r.params["k"] for r in check_prop1_ab(3, 5, 5) if r.verdict == "fail"] == [4]
 
-    def test_prop5_exact(self, broken_3_5):
-        assert check_prop5(3, 5, mode="exact").verdict == "fail"
+    def test_prop3(self, broken_3_5):
+        assert check_prop3(3, 5).verdict == "fail"
 
-    def test_prop6_exact(self, broken_3_5):
-        assert check_prop6(3, 5, mode="exact").verdict == "fail"
+    def test_prop5_exact(self, broken_3_5):
+        assert check_prop5(3, 5).verdict == "fail"
+
+    def test_prop6(self, broken_3_5):
+        r = check_prop6(3, 5)
+        assert r.verdict == "fail" and r.residual == pytest.approx(2.0)
 
     def test_genus_quotient_trig(self):
         S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
@@ -325,12 +319,15 @@ class TestProp3:
         assert check_prop3(2, 3).verdict == "pass"
 
     def test_modes_agree(self):
-        for a, b in coprime_pairs(9):
-            assert check_prop3(a, b).verdict == check_prop3(a, b, mode="float").verdict == "pass"
-
-    def test_float_stable_at_large_pairs(self):
-        for a, b in ((19, 20), (17, 20), (7, 19)):
-            assert check_prop3(a, b, mode="float").verdict == "pass"
+        # the exact route the checker takes and the literal d_j sum of the
+        # display (tests/oracles.py); q near 1 keeps the q^{-pi(k)} factors
+        # inside d_j from amplifying roundoff
+        for a, b in coprime_pairs(20, amin=1):
+            assert check_prop3(a, b).verdict == "pass"
+            lhs = carlitz_poly(a, b).scale_q(b)
+            for q0, t0 in ((0.9, 0.59), (0.86, 0.43)):
+                want = lhs.evaluate(complex(q0), complex(t0))
+                assert abs(prop3_dj_sum(a, b, q0, t0) - want) <= 1e-8 * (1 + abs(want)), (a, b)
 
 
 class TestProp4:
@@ -426,8 +423,15 @@ class TestProp5:
         assert check_prop5(2, 3).verdict == "pass"
 
     def test_modes_agree(self):
-        for a, b in coprime_pairs(10):
-            assert check_prop5(a, b).verdict == check_prop5(a, b, mode="float").verdict == "pass"
+        # the exact route the checker takes and the literal geometric-kernel
+        # sum of the display (tests/oracles.py): the coefficient of q^i on
+        # the right is the gap count of class a*i mod b
+        for a, b in coprime_pairs(20, amin=1):
+            assert check_prop5(a, b).verdict == "pass"
+            counts = torus_semigroup(a, b).class_counts(b)
+            for q0 in (0.31, 0.57, 0.83):
+                want = sum(counts[a * i % b] * q0**i for i in range(b))
+                assert abs(prop5_kernel_sum(a, b, q0) - want) <= 1e-8 * (1 + want), (a, b)
 
 
 class TestGapValues:
@@ -469,17 +473,19 @@ class TestProp6:
         assert check_prop6(2, 3).verdict == "pass"
 
     def test_exact_route(self):
-        for a, b in coprime_pairs(12):
-            assert check_prop6(a, b, mode="exact").verdict == "pass"
+        # the display's right side as exact class counts (tests/oracles.py)
+        for a, b in coprime_pairs(20, amin=1):
+            assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1), (a, b)
 
     def test_modes_agree(self):
+        # the float route the checker takes passes where the exact
+        # class-count form (tests/oracles.py) holds
         for a, b in coprime_pairs(15):
-            assert check_prop6(a, b, mode="exact").verdict == check_prop6(a, b, mode="float").verdict
+            assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1)
+            assert check_prop6(a, b).verdict == "pass"
 
     def test_trefoil_values(self):
         # V_{1,1}(2,3) = 2, correction (a-1)(b-1)^2/4 = 1, so the root sum is 1
-        from sdlab.dedekind import voronoi_sum
-
         assert voronoi_sum(2, 3, 1, 1) == 2
 
 

@@ -16,7 +16,6 @@ from sdlab.polyring import (
     geom_sum,
     monomial,
     rational_eq,
-    roots_of_unity,
 )
 from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
@@ -255,16 +254,6 @@ class TestRootEvaluation:
             lhs = (f * g).eval_root_of_unity(n, j)
             rhs = f.eval_root_of_unity(n, j) * g.eval_root_of_unity(n, j)
             assert abs(lhs - rhs) < 1e-9
-
-    def test_scaled_evaluation_matches_literal(self):
-        rng = random.Random(5)
-        f = random_poly(rng, max_terms=15, lo=-3, hi=25)
-        q = 0.7
-        for n in (1, 3, 8):
-            for j in range(n):
-                w = roots_of_unity(n)[j % n]
-                literal = sum(float(c) * (w * q) ** e for e, c in f.items())
-                assert abs(f.eval_root_scaled(n, j, q) - literal) < 1e-10
 
 
 class TestRootClassSum:
