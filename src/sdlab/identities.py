@@ -8,7 +8,7 @@ realized exactly by multisection and the comparison is exact (mode "exact",
 residual 0 on pass); otherwise both sides are evaluated in complex floating
 point against the defining sum (mode "float").  A float check passes within
 FLOAT_TOL * (1 + |LHS|), except gapvalues, which applies the absolute
-GAP_VALUES_TOL, and prop2 with n >= 2, which applies PROP2_TOL * (1 + |LHS|).
+GAP_VALUES_TOL.
 
 The catalog itself is CATALOG, next to run_suite: one row per checker with
 the report ids it emits, the statement checked and the checks run_suite
@@ -54,12 +54,11 @@ from .polyring import (
 from .semigroup import NumericalSemigroup, torus_semigroup
 
 FLOAT_TOL = 1e-8
-PROP2_TOL = 1e-6
 GAP_VALUES_TOL = 1e-9
 QT_SAMPLE = (0.37, 0.59)
-# check_prop2 ceilings: n <= 3, and b <= 40 for n = 1, b <= 12 for n >= 2
+# check_prop2 refuses n > PROP2_N_MAX
 PROP2_N_MAX = 3
-PROP2_B_MAX_N1 = 40
+# the catalog's prop2 row sweeps n >= 2 only for b <= PROP2_B_MAX
 PROP2_B_MAX = 12
 # the catalog's prop2 row sweeps m = 1..PROP2_M_MAX
 PROP2_M_MAX = 4
@@ -118,19 +117,16 @@ def _gap_root_values(a: int, b: int) -> tuple:
 # -- section 1: Hilbert series ---------------------------------------------------
 
 
-def check_eq1(a: int, b: int, N: int | None = None) -> IdentityReport:
+def check_eq1(a: int, b: int) -> IdentityReport:
     """Truncated Hilbert series of <a, b> against (1 - q^{ab}) / ((1-q^a)(1-q^b)).
 
-    The tail past degree N (N >= ab > Frobenius) is the full geometric series
+    The tail past degree N = ab (> Frobenius) is the full geometric series
     q^{N+1}/(1-q), so the closed form is checked exactly via cross-multiplied
     rational functions.
     """
     started = time.perf_counter()
     require_coprime(a, b)
-    if N is None:
-        N = a * b
-    if N < a * b:
-        raise ValueError("N must be at least a*b")
+    N = a * b
     S = torus_semigroup(a, b)
     one_minus_q = ONE - monomial(1)
     ok = rational_eq(
@@ -155,80 +151,69 @@ def check_eq6(S: NumericalSemigroup, s: int) -> IdentityReport:
     return _finish("eq6", params, "exact", 0.0 if ok else 1.0, ok, started)
 
 
-def _prop1_reports(identity_id: str, S: NumericalSemigroup, s: int, cases) -> list:
-    """The reports of a prop1 row at modulus s, one per case (params, class r,
-    floor): check_prop1's statement with class r and that floor.  What the cases
-    share is computed once: the class split of C_S, or its class counts."""
+def _prop1_reports(ids: tuple, S: NumericalSemigroup, s: int, cases) -> list:
+    """The reports of prop1 at modulus s, two per case (params, class r, floor):
+    the polynomial statement ids[0] and the integer statement ids[1], each with
+    class r and that floor.  What the cases share is computed once: the class
+    split of C_S and its class counts."""
     started = time.perf_counter()
-    if identity_id in ("prop1.eq2", "prop1.eq4"):
-        parts = S.gap_poly().multisection(s)
-
-        def check(r, fl):
-            # (q^s - 1) * part, shifted by q^{-r}
-            ok = monomial(s * fl) == ONE + parts[r].shift(s - r) - parts[r].shift(-r)
-            return (0.0 if ok else 1.0), ok
-    else:
-        counts = S.class_counts(s)
-
-        def check(r, fl):
-            err = abs(fl - counts[r])
-            return err, err == 0
+    poly_id, count_id = ids
+    parts = S.gap_poly().multisection(s)
+    counts = S.class_counts(s)
     reports = []
     for params, r, fl in cases:
-        residual, ok = check(r, fl)
-        reports.append(_finish(identity_id, params, "exact", residual, ok, started))
+        # (q^s - 1) * part, shifted by q^{-r}
+        ok = monomial(s * fl) == ONE + parts[r].shift(s - r) - parts[r].shift(-r)
+        reports.append(_finish(poly_id, params, "exact", 0.0 if ok else 1.0, ok, started))
+        started = time.perf_counter()
+        err = abs(fl - counts[r])
+        reports.append(_finish(count_id, params, "exact", err, err == 0, started))
         started = time.perf_counter()
     return reports
 
 
-def check_prop1(S: NumericalSemigroup, s: int, eq: int) -> list:
+def check_prop1(S: NumericalSemigroup, s: int) -> list:
     """Apery-element floor data of a general semigroup from its gap polynomial,
-    one report per class k mod the nonzero member s, all exact.
+    for each class k mod the nonzero member s a prop1.eq2 and a prop1.eq3
+    report, all exact.
 
-    eq=2: q^{s*floor(a_k/s)} = 1 + (q^s - 1)/(s q^k) * sum_j e^{-2pi i jk/s} C_S(e^{2pi i j/s} q);
-          the j-average is the class-k part of C_S (multisection), so both
-          sides are Laurent polynomials.
-    eq=3: floor(a_k/s) equals the number of gaps congruent to k mod s.
+    prop1.eq2: q^{s*floor(a_k/s)} = 1 + (q^s - 1)/(s q^k) * sum_j e^{-2pi i jk/s} C_S(e^{2pi i j/s} q);
+               the j-average is the class-k part of C_S (multisection), so
+               both sides are Laurent polynomials.
+    prop1.eq3: floor(a_k/s) equals the number of gaps congruent to k mod s.
     """
-    if eq not in (2, 3):
-        raise ValueError(f"eq must be 2 or 3, got {eq}")
     ap = S.apery(s)
     gens = _gen_params(S)
     cases = [({**gens, "s": s, "k": k}, k, ap[k] // s) for k in range(s)]
-    return _prop1_reports(f"prop1.eq{eq}", S, s, cases)
+    return _prop1_reports(("prop1.eq2", "prop1.eq3"), S, s, cases)
 
 
-def check_prop1_ab(a: int, b: int, eq: int) -> list:
-    """The two-generator specialization, one report per k < b: the Apery element
-    a*k of <a, b> mod b lies in class pi(k) = a*k mod b, which holds floor(ak/b)
-    gaps.  eq=4 is the polynomial statement, eq=5 the integer one; both exact."""
+def check_prop1_ab(a: int, b: int) -> list:
+    """The two-generator specialization, a prop1.eq4 and a prop1.eq5 report per
+    k < b: the Apery element a*k of <a, b> mod b lies in class pi(k) = a*k mod b,
+    which holds floor(ak/b) gaps.  prop1.eq4 is the polynomial statement,
+    prop1.eq5 the integer one; both exact."""
     require_coprime(a, b)
-    if eq not in (4, 5):
-        raise ValueError(f"eq must be 4 or 5, got {eq}")
     cases = [({"a": a, "b": b, "k": k}, a * k % b, a * k // b) for k in range(b)]
-    return _prop1_reports(f"prop1.eq{eq}", torus_semigroup(a, b), b, cases)
+    return _prop1_reports(("prop1.eq4", "prop1.eq5"), torus_semigroup(a, b), b, cases)
 
 
 # -- section 3: Voronoi sums ------------------------------------------------------
 
 
 @lru_cache(maxsize=4)  # run_suite sweeps b in ascending order
-def _apostol_bernoulli_at_roots(b: int, k: int) -> tuple:
-    """(B_0..B_k at q = b, B_0..B_k at q = 0) for lam = eps^r at every b-th
-    root, indexed by r: one run of the recurrence per (q, root)."""
-    return tuple((apostol_bernoulli_values(k, b, lam), apostol_bernoulli_values(k, 0, lam)) for lam in roots_of_unity(b))
-
-
-@lru_cache(maxsize=256)  # every b <= 40 for m up to 6
-def _prop2_kernels(b: int, m: int) -> tuple[tuple, tuple]:
-    """Both prop2 kernels at every b-th root eps^r, indexed by r, once per
-    (b, m): M_{b-1}(eps^r, m) and (B_{m+1}(b, eps^r) - B_{m+1}(0, eps^r))/(m+1).
-    The Apostol-Bernoulli values of every m <= PROP2_M_MAX are read from one
-    recurrence run per (q, root), to order PROP2_M_MAX + 1 (or m + 1 if larger)."""
-    mir = tuple(mirimanoff(lam, m, b) for lam in roots_of_unity(b))
-    values = _apostol_bernoulli_at_roots(b, max(m, PROP2_M_MAX) + 1)
-    ab = tuple(complex(at_b[m + 1] - at_0[m + 1]) / (m + 1) for at_b, at_0 in values)
-    return mir, ab
+def _prop2_kernels(b: int, mmax: int) -> tuple:
+    """Both prop2 kernels at every b-th root eps^r for every m <= mmax, as
+    (mir, ab) at index m - 1, each indexed by r: M_{b-1}(eps^r, m) and
+    (B_{m+1}(b, eps^r) - B_{m+1}(0, eps^r))/(m+1).  The Apostol-Bernoulli
+    values of every m come from one recurrence run per (q, root)."""
+    roots = roots_of_unity(b)
+    values = [(apostol_bernoulli_values(mmax + 1, b, lam), apostol_bernoulli_values(mmax + 1, 0, lam)) for lam in roots]
+    return tuple(
+        (tuple(mirimanoff(lam, m, b) for lam in roots),
+         tuple(complex(at_b[m + 1] - at_0[m + 1]) / (m + 1) for at_b, at_0 in values))
+        for m in range(1, mmax + 1)
+    )
 
 
 @lru_cache(maxsize=16)  # run_suite checks one pair at a time, n <= PROP2_N_MAX
@@ -245,7 +230,7 @@ def _cyclic_power(a: int, b: int, n: int) -> tuple:
 def _prop2_rhs(a: int, b: int, m: int, n: int) -> tuple[complex, complex]:
     """The two right-hand sides of check_prop2, (Mirimanoff form, Apostol-Bernoulli form)."""
     P = _cyclic_power(a, b, n)
-    mir, ab = _prop2_kernels(b, m)
+    mir, ab = _prop2_kernels(b, max(m, PROP2_M_MAX))[m - 1]
     rhs_mir = sum(P[r] * mir[(-a * r) % b] for r in range(b)) / b**n
     rhs_ab = sum(P[r] * ab[(-a * r) % b] for r in range(b)) / b**n
     return rhs_mir, rhs_ab
@@ -266,10 +251,10 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
     per form.  n = 1 is the same formula with P = C.  The root values come from
     the cache _gap_root_values, the powers from the cache _cyclic_power (each
     built once per (a, b, n), P^n from P^(n-1)), the kernel values from the
-    cache _prop2_kernels.
+    cache _prop2_kernels (one table per b for every m the catalog sweeps).
 
-    The check is float only.  n = 1 is allowed up to b = 40 at a tighter
-    tolerance; n in [2, 3] requires b <= 12.
+    The check is float only, within FLOAT_TOL * (1 + |V|), at any b; n is
+    at most PROP2_N_MAX.
     """
     started = time.perf_counter()
     require_coprime(a, b)
@@ -279,16 +264,12 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
         raise ValueError("n must be >= 1")
     if n > PROP2_N_MAX:
         raise TooLarge(f"n={n} > {PROP2_N_MAX}")
-    if n == 1 and b > PROP2_B_MAX_N1:
-        raise TooLarge(f"b={b} > {PROP2_B_MAX_N1} for n=1")
-    if n > 1 and b > PROP2_B_MAX:
-        raise TooLarge(f"b={b} > {PROP2_B_MAX} for n={n}")
 
     v = voronoi_sum(a, b, m, n)
     rhs_mir, rhs_ab = _prop2_rhs(a, b, m, n)
     residual = max(abs(v - rhs_mir), abs(v - rhs_ab))
-    tol = (FLOAT_TOL if n == 1 else PROP2_TOL) * (1 + abs(v))
-    return _finish("prop2", {"a": a, "b": b, "m": m, "n": n}, "float", residual, residual <= tol, started)
+    ok = residual <= FLOAT_TOL * (1 + abs(v))
+    return _finish("prop2", {"a": a, "b": b, "m": m, "n": n}, "float", residual, ok, started)
 
 
 # -- section 4: Dedekind-Carlitz polynomials --------------------------------------
@@ -544,9 +525,9 @@ class SuiteRanges:
     default run, and the CLI's defaults are read from these fields.
 
     pairs_max <= 0 requests an empty run.  prop2 sweeps the same coprime
-    pairs, up to check_prop2's ceilings: b <= PROP2_B_MAX_N1 for n = 1 and
-    b <= PROP2_B_MAX for n >= 2.  run_suite makes every check of one pair
-    before the next, so no cache has to hold more than one pair."""
+    pairs, for n = 1 every one and for n >= 2 those with b <= PROP2_B_MAX.
+    run_suite makes every check of one pair before the next, so no cache has
+    to hold more than one pair."""
 
     pairs_max: int = 20
     semigroups: int = 6
@@ -584,27 +565,21 @@ class CatalogRow(NamedTuple):
     semigroup: Callable | None = None
 
 
-def _members(S, ranges):
-    return [s for s in range(1, ranges.member_max + 1) if S.contains(s)]
-
-
 CATALOG = (
     CatalogRow(("eq1",), "Hilbert series of <a, b> in closed form",
                pair=lambda a, b: (check_eq1(a, b),)),
     CatalogRow(("eq6",), "gap polynomial reassembled from Apery geometric blocks",
                pair=lambda a, b: (check_eq6(torus_semigroup(a, b), s) for s in (a, b)),
-               semigroup=lambda S, r: (check_eq6(S, s) for s in _members(S, r))),
-    CatalogRow(("prop1.eq2",), "Apery floor data of any semigroup from its gap polynomial",
-               semigroup=lambda S, r: chain.from_iterable(check_prop1(S, s, 2) for s in _members(S, r))),
-    CatalogRow(("prop1.eq3",), "floor(a_k/s) counts the gaps in class k",
-               semigroup=lambda S, r: chain.from_iterable(check_prop1(S, s, 3) for s in _members(S, r))),
-    CatalogRow(("prop1.eq4",), "prop1.eq2 for two generators (class index a*k mod b)",
-               pair=lambda a, b: check_prop1_ab(a, b, 4)),
-    CatalogRow(("prop1.eq5",), "prop1.eq3 for two generators",
-               pair=lambda a, b: check_prop1_ab(a, b, 5)),
+               semigroup=lambda S, r: (check_eq6(S, s) for s in S.members(r.member_max)[1:])),
+    # one check_prop1 call checks both statements at a modulus
+    CatalogRow(("prop1.eq2", "prop1.eq3"), "Apery floor data of any semigroup from its gap polynomial; "
+               "floor(a_k/s) counts the gaps in class k",
+               semigroup=lambda S, r: chain.from_iterable(check_prop1(S, s) for s in S.members(r.member_max)[1:])),
+    CatalogRow(("prop1.eq4", "prop1.eq5"), "prop1.eq2 and prop1.eq3 for two generators (class index a*k mod b)",
+               pair=lambda a, b: check_prop1_ab(a, b)),
     CatalogRow(("prop2",), "Voronoi sums from gap-polynomial root values, Mirimanoff / Apostol-Bernoulli kernels",
                pair=lambda a, b: (check_prop2(a, b, m, n) for m in range(1, PROP2_M_MAX + 1) for n in range(1, PROP2_N_MAX + 1)
-                                  if b <= (PROP2_B_MAX_N1 if n == 1 else PROP2_B_MAX))),
+                                  if n == 1 or b <= PROP2_B_MAX)),
     CatalogRow(("prop3",), "Dedekind-Carlitz c(q^b, t) from gap polynomials",
                pair=lambda a, b: (check_prop3(a, b),)),
     # one check_prop4 call computes both displays

@@ -245,6 +245,15 @@ class TestVerifyCommand:
         objs = json.loads(out)
         assert objs and all(o["id"] == "prop4.T11" for o in objs)
 
+    @pytest.mark.parametrize("identity_id", ["prop1.eq3", "prop1.eq5"])
+    def test_identity_keeps_one_statement_of_a_shared_call(self, capsys, identity_id):
+        # one check_prop1 / check_prop1_ab call gives two statements; the filter keeps one
+        code, out, _ = run_cli(capsys, "verify", "--pairs-max", "6", "--semigroups", "1", "--member-max", "15",
+                               "--seed", "0", "--identity", identity_id)
+        assert code == 0
+        objs = json.loads(out)
+        assert objs and all(o["id"] == identity_id for o in objs)
+
     def test_help_names_every_id(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])

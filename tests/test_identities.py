@@ -18,7 +18,7 @@ from sdlab.identities import (
     CATALOG,
     IDENTITY_IDS,
     PROP2_B_MAX,
-    PROP2_B_MAX_N1,
+    PROP2_M_MAX,
     PROP2_N_MAX,
     QT_SAMPLE,
     IdentityReport,
@@ -56,9 +56,9 @@ from oracles import prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop
 
 class TestEq1:
     def test_examples(self):
-        assert check_eq1(2, 3, 12).verdict == "pass"
-        assert check_eq1(1, 5, 10).verdict == "pass"
-        assert check_eq1(3, 5, 30).verdict == "pass"
+        assert check_eq1(2, 3).verdict == "pass"
+        assert check_eq1(1, 5).verdict == "pass"
+        assert check_eq1(3, 5).params == {"a": 3, "b": 5, "N": 15}
 
     def test_exact_mode_residual(self):
         r = check_eq1(4, 7)
@@ -66,11 +66,7 @@ class TestEq1:
 
     def test_gcd_rejected(self):
         with pytest.raises(GcdNotOne):
-            check_eq1(2, 4, 20)
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            check_eq1(3, 5, 10)
+            check_eq1(2, 4)
 
 
 class TestEq6:
@@ -92,7 +88,7 @@ class TestProp1:
     def test_examples(self):
         for S, s in ((torus_semigroup(3, 5), 5), (NumericalSemigroup.from_generators([1]), 1),
                      (NumericalSemigroup.from_generators([4, 7, 9]), 4)):
-            assert passes(check_prop1(S, s, 2)) and passes(check_prop1(S, s, 3))
+            assert passes(check_prop1(S, s))
 
     def test_example_floor_values(self):
         S = NumericalSemigroup.from_generators([4, 7, 9])
@@ -100,21 +96,18 @@ class TestProp1:
         assert len([g for g in S.gaps if g % 4 == 1]) == 2
 
     def test_per_equation_ids(self):
-        S = torus_semigroup(3, 5)
-        for eq in (2, 3):
-            reports = check_prop1(S, 5, eq)
-            assert {r.identity_id for r in reports} == {f"prop1.eq{eq}"}
-            assert [r.params for r in reports] == [{"g1": 3, "g2": 5, "s": 5, "k": k} for k in range(5)]
+        # one call gives both statements for every class
+        reports = check_prop1(torus_semigroup(3, 5), 5)
+        assert [(r.identity_id, r.params) for r in reports] == [
+            (i, {"g1": 3, "g2": 5, "s": 5, "k": k}) for k in range(5) for i in ("prop1.eq2", "prop1.eq3")]
 
     def test_errors(self):
-        S = torus_semigroup(3, 5)
         with pytest.raises(NotAMember):
-            check_prop1(S, 4, 2)
-        with pytest.raises(ValueError):
-            check_prop1(S, 5, 4)
+            check_prop1(torus_semigroup(3, 5), 4)
 
-    @pytest.mark.parametrize("identity_id", ["prop1.eq2", "prop1.eq3"])
-    def test_one_apery_set_per_modulus(self, monkeypatch, identity_id):
+    @pytest.mark.parametrize("identities", [("prop1.eq2",), ("prop1.eq3",), ("prop1.eq2", "prop1.eq3")],
+                             ids=["prop1.eq2", "prop1.eq3", "both"])
+    def test_one_apery_set_per_modulus(self, monkeypatch, identities):
         calls = Counter()
         apery = NumericalSemigroup.apery
 
@@ -123,28 +116,27 @@ class TestProp1:
             return apery(S, s)
 
         monkeypatch.setattr(NumericalSemigroup, "apery", counted)
-        reports = run_suite(SuiteRanges(semigroups=4, member_max=30, identities=(identity_id,)), seed=0)
+        reports = run_suite(SuiteRanges(semigroups=4, member_max=30, identities=identities), seed=0)
         moduli = sum(len([s for s in range(1, 31) if S.contains(s)]) for S in random_semigroups(4, random.Random(0)))
         assert len(calls) == moduli and set(calls.values()) == {1}
-        assert len(reports) == sum(s for _, s in calls)
+        assert len(reports) == len(identities) * sum(s for _, s in calls)
 
 
 class TestProp1AB:
     def test_examples(self):
         for a, b in ((3, 5), (5, 7), (2, 3)):
-            assert passes(check_prop1_ab(a, b, 4)) and passes(check_prop1_ab(a, b, 5))
-        assert [r.params["k"] for r in check_prop1_ab(3, 5, 4)] == [0, 1, 2, 3, 4]
+            assert passes(check_prop1_ab(a, b))
+        # one call gives both statements for every k
+        assert [(r.identity_id, r.params["k"]) for r in check_prop1_ab(3, 5)] == [
+            (i, k) for k in range(5) for i in ("prop1.eq4", "prop1.eq5")]
 
     def test_all_classes_small_sweep(self):
         for a, b in coprime_pairs(10):
-            for eq in (4, 5):
-                assert passes(check_prop1_ab(a, b, eq))
+            assert passes(check_prop1_ab(a, b))
 
     def test_errors(self):
         with pytest.raises(GcdNotOne):
-            check_prop1_ab(2, 4, 4)
-        with pytest.raises(ValueError):
-            check_prop1_ab(2, 3, 3)
+            check_prop1_ab(2, 4)
 
 
 class TestProp2:
@@ -155,15 +147,14 @@ class TestProp2:
 
     def test_refusals(self):
         with pytest.raises(TooLarge):
-            check_prop2(3, 13, 1, 2)
-        with pytest.raises(TooLarge):
-            check_prop2(2, 41, 1, 1)
-        with pytest.raises(TooLarge):
             check_prop2(2, 5, 1, 4)
         with pytest.raises(ValueError):
             check_prop2(2, 5, 0, 1)
         with pytest.raises(GcdNotOne):
             check_prop2(3, 9, 1, 1)
+        # no ceiling on b
+        for args in ((3, 13, 1, 2), (2, 41, 1, 1), (7, 20, 4, 3), (5, 58, 4, 1)):
+            assert check_prop2(*args).verdict == "pass", args
 
     def test_cyclic_power_matches_composition_sum(self):
         for a, b in coprime_pairs(8, amin=1):
@@ -178,28 +169,39 @@ class TestProp2:
                         assert abs(got - exp) <= 1e-12 * abs(exp), (a, b, m, n)
 
     @staticmethod
-    def rhs_per_call(a, b, m, n):
+    def kernels_per_call(b, m):
+        """prop2's two kernels at every b-th root as computed with no cache:
+        each Apostol-Bernoulli value from its own run."""
+        roots = roots_of_unity(b)
+        return (
+            [mirimanoff(lam, m, b) for lam in roots],
+            [complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1) for lam in roots],
+        )
+
+    @staticmethod
+    def rhs_per_call(a, b, n, kernels):
         """_prop2_rhs as it was computed with no cache past the root values: the
-        power built afresh, each kernel value from its own Apostol-Bernoulli run."""
+        power built afresh, the kernels those of kernels_per_call."""
         Cj = _gap_root_values(a, b)
         P = Cj
         for _ in range(n - 1):
             P = [sum(P[i] * Cj[(r - i) % b] for i in range(b)) for r in range(b)]
-        roots = roots_of_unity(b)
-        mir = [mirimanoff(lam, m, b) for lam in roots]
-        ab = [complex(apostol_bernoulli(m + 1, b, lam) - apostol_bernoulli(m + 1, 0, lam)) / (m + 1) for lam in roots]
+        mir, ab = kernels
         return (
             sum(P[r] * mir[(-a * r) % b] for r in range(b)) / b**n,
             sum(P[r] * ab[(-a * r) % b] for r in range(b)) / b**n,
         )
 
     def test_rhs_bit_identical_to_per_call_route(self):
-        cases = [(a, b, m, n) for a, b in coprime_pairs(PROP2_B_MAX, amin=1) for m in range(1, 5) for n in range(1, 4)]
-        cases += [(a, b, m, 1) for a, b in coprime_pairs(PROP2_B_MAX_N1, amin=1) if b > PROP2_B_MAX for m in range(1, 5)]
-        for a, b, m, n in cases:
-            assert _prop2_rhs(a, b, m, n) == self.rhs_per_call(a, b, m, n), (a, b, m, n)
+        # every n to b = 40, n = 1 on to b = 58
+        for b in range(2, 59):
+            for m in range(1, 5):
+                kernels = self.kernels_per_call(b, m)
+                for a in (a for a in range(1, b) if gcd(a, b) == 1):
+                    for n in range(1, 4 if b <= 40 else 2):
+                        assert _prop2_rhs(a, b, m, n) == self.rhs_per_call(a, b, n, kernels), (a, b, m, n)
         # past the catalog's m the table is run deeper, not read past its end
-        assert _prop2_rhs(3, 7, 6, 2) == self.rhs_per_call(3, 7, 6, 2)
+        assert _prop2_rhs(3, 7, 6, 2) == self.rhs_per_call(3, 7, 2, self.kernels_per_call(7, 6))
 
     def test_recurrence_once_per_q_and_root(self, monkeypatch):
         # every Apostol-Bernoulli entry point identities uses, whichever it has
@@ -242,12 +244,18 @@ class TestCaches:
                 "_prop2_kernels"} <= set(found)
         assert all(size is not None for size in found.values()), found
 
-    def test_pairs_max_40_run_fits(self):
-        assert _prop2_kernels.cache_parameters()["maxsize"] >= (PROP2_B_MAX_N1 - 2) * 4
+    def test_one_kernel_table_per_b(self):
+        # run_suite sweeps b in ascending order, so a table stays cached while
+        # every a and m of its b reads it
+        _prop2_kernels.cache_clear()
+        reports = run_suite(SuiteRanges(pairs_max=44, semigroups=0, identities=("prop2",)), seed=0)
+        bs = {r.params["b"] for r in reports}
+        assert max(bs) == 44 and {r.params["m"] for r in reports} == set(range(1, PROP2_M_MAX + 1))
+        assert _prop2_kernels.cache_info().misses == len(bs)
 
     def test_root_values_built_once_per_pair(self):
-        # past b = 40 prop2 stops and 16 cached pairs are long gone, so every
-        # row that reads a pair's root values must read them while it is current
+        # 16 cached pairs are long gone by b = 44, so every row that reads a
+        # pair's root values must read them while it is current
         _gap_root_values.cache_clear()
         run_suite(SuiteRanges(pairs_max=44, semigroups=0, identities=("prop2", "gapvalues", "prop6")), seed=0)
         assert _gap_root_values.cache_info().misses == len(coprime_pairs(44))
@@ -277,7 +285,8 @@ class TestCountRoutesNotVacuous:
     def test_prop1_eq3(self):
         # one call checks every class: only k = 2, the class of 6, fails
         S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
-        assert [r.params["k"] for r in check_prop1(S, 4, 3) if r.verdict == "fail"] == [2]
+        reports = [r for r in check_prop1(S, 4) if r.identity_id == "prop1.eq3"]
+        assert [r.params["k"] for r in reports if r.verdict == "fail"] == [2]
 
     @pytest.fixture
     def broken_3_5(self, monkeypatch):
@@ -292,7 +301,8 @@ class TestCountRoutesNotVacuous:
         _gap_root_values.cache_clear()
 
     def test_prop1_eq5(self, broken_3_5):
-        assert [r.params["k"] for r in check_prop1_ab(3, 5, 5) if r.verdict == "fail"] == [4]
+        reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq5"]
+        assert [r.params["k"] for r in reports if r.verdict == "fail"] == [4]
 
     def test_prop3(self, broken_3_5):
         assert check_prop3(3, 5).verdict == "fail"
@@ -627,7 +637,8 @@ class TestCatalog:
         monkeypatch.setattr(sdlab.identities, "check_prop2", lambda *args: calls.append(args))
         for a, b in coprime_pairs(100):
             list(row.pair(a, b))
-        assert max(b for _, b, _, n in calls if n == 1) == PROP2_B_MAX_N1
+        # n = 1 reaches every b, n >= 2 stops at PROP2_B_MAX
+        assert {b for _, b, _, n in calls if n == 1} == set(range(3, 101))
         assert max(b for _, b, _, n in calls if n > 1) == PROP2_B_MAX
         assert max(n for *_, n in calls) == PROP2_N_MAX
 
