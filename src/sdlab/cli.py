@@ -33,7 +33,7 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 # bound time: `verify` checks grow with the square of --member-max, a --d-max
 # check scans 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
 # limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
-# A `table` row costs a Voronoi sum over k < b: --pairs-max 100 takes about 5 s.
+# A `table` row costs two integer sums over k < b: --pairs-max 100 takes well under a second.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max
 SEMIGROUPS_MAX = 1000  # sdlab verify --semigroups

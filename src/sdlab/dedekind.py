@@ -62,16 +62,16 @@ def dedekind_sum(a: int, b: int, route: str = "sawtooth"):
     """Classical Dedekind sum s(a, b) = sum_{k=1}^{b-1} ((k/b)) ((a*k/b)).
 
     Routes:
-      sawtooth  - the defining sum, exact Fraction.
+      sawtooth  - the defining sum, exact Fraction: for 0 < k < b neither k/b
+                  nor ak/b is an integer, so term k is
+                  (2k - b)(2(ak mod b) - b) / (4b^2), and the numerators are
+                  summed as integers under one division.
       voronoi   - -V_{1,1}(a,b)/b + (b-1)/4 * (4a/3 - 2a/(3b) - 1), exact Fraction.
       cotangent - (1/4b) * sum cot(pi*k/b) cot(pi*a*k/b), float.
     """
     require_coprime(a, b)
     if route == "sawtooth":
-        return sum(
-            (sawtooth(Fraction(k, b)) * sawtooth(Fraction(a * k, b)) for k in range(1, b)),
-            Fraction(0),
-        )
+        return Fraction(sum((2 * k - b) * (2 * (a * k % b) - b) for k in range(1, b)), 4 * b * b)
     if route == "voronoi":
         correction = Fraction(b - 1, 4) * (Fraction(4 * a, 3) - Fraction(2 * a, 3 * b) - 1)
         return -Fraction(voronoi_sum(a, b, 1, 1), b) + correction

@@ -115,14 +115,19 @@ def prop6_class_count_form(a: int, b: int) -> Fraction:
     return trig + Fraction((a - 1) * (b - 1) ** 2, 4)
 
 
+def _sawtooth(x: Fraction) -> Fraction:
+    """((x)): 0 at integers, x - floor(x) - 1/2 otherwise."""
+    return Fraction(0) if x.denominator == 1 else x - (x.numerator // x.denominator) - Fraction(1, 2)
+
+
+def dedekind_sawtooth_sum(a: int, b: int) -> Fraction:
+    """sum_{k=1}^{b-1} ((k/b)) * ((a*k/b)) — the defining sum, one Fraction per factor."""
+    return sum((_sawtooth(Fraction(k, b)) * _sawtooth(Fraction(a * k, b)) for k in range(1, b)), Fraction(0))
+
+
 def dedekind_kb_form(a: int, b: int) -> Fraction:
     """sum_{k=1}^{b-1} (k/b) * ((a*k/b)) — the second displayed form, exact."""
-    total = Fraction(0)
-    for k in range(1, b):
-        x = Fraction(a * k, b)
-        st = Fraction(0) if x.denominator == 1 else x - (x.numerator // x.denominator) - Fraction(1, 2)
-        total += Fraction(k, b) * st
-    return total
+    return sum((Fraction(k, b) * _sawtooth(Fraction(a * k, b)) for k in range(1, b)), Fraction(0))
 
 
 def dedekind_root_form(a: int, b: int) -> float:

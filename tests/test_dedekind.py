@@ -23,7 +23,13 @@ from sdlab.dedekind import (
 from sdlab.errors import GcdNotOne
 from sdlab.polyring import BiLaurent, LaurentPoly, roots_of_unity
 
-from oracles import dedekind_kb_form, dedekind_quotient_form, dedekind_root_form, rt_product_route
+from oracles import (
+    dedekind_kb_form,
+    dedekind_quotient_form,
+    dedekind_root_form,
+    dedekind_sawtooth_sum,
+    rt_product_route,
+)
 
 
 def coprime_pairs(bmax, amin=1):
@@ -77,6 +83,13 @@ class TestDedekindSum:
         assert dedekind_sum(1, 3) == Fraction(1, 18)
         assert dedekind_sum(3, 5) == 0
         assert dedekind_sum(1, 1) == 0
+
+    def test_sawtooth_route_matches_defining_sum(self):
+        # every coprime pair with 1 <= a, b <= 40, a > b included
+        for a in range(1, 41):
+            for b in range(1, 41):
+                if gcd(a, b) == 1:
+                    assert dedekind_sum(a, b) == dedekind_sawtooth_sum(a, b), (a, b)
 
     def test_voronoi_route_examples(self):
         assert dedekind_sum(1, 3, "voronoi") == Fraction(1, 18)

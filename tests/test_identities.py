@@ -26,6 +26,8 @@ from sdlab.identities import (
     _gap_root_values,
     _prop2_kernels,
     _prop2_rhs,
+    _r11_telescoped,
+    _t11_display,
     _t11_sum,
     check_cor510,
     check_eq1,
@@ -350,17 +352,32 @@ class TestProp4:
     def test_r_identity_when_both_sides_vanish(self):
         for b in range(2, 12):
             assert rt_poly("R", 1, 1, 1, b).is_zero()
+            assert _r11_telescoped(1, b).is_zero()
             r, _ = check_prop4(1, b)
             assert r.verdict == "pass" and r.residual == 0.0
+
+    def test_telescoped_sum_pins_rt_poly(self):
+        # the O(b) route against the expansion it replaces, a = 1 included
+        q_1, t_1 = bi_monomial(1, 0) - 1, bi_monomial(0, 1) - 1
+        pairs = coprime_pairs(20) + [(1, b) for b in range(2, 21)]
+        assert (1, 2) in pairs and (19, 20) in pairs
+        for a, b in pairs:
+            r11 = rt_poly("R", 1, 1, a, b)
+            assert r11 * q_1 * t_1 == _r11_telescoped(a, b), (a, b)
+            assert len(r11) == a * (b - 1) // b * (b - 1), (a, b)
+            value, count = _t11_display(a, b, *QT_SAMPLE)
+            assert count == len(r11), (a, b)
+            want = r11.scale_q(b).shift(a % b, 0).evaluate(*QT_SAMPLE)
+            assert value == pytest.approx(want, rel=1e-12, abs=0), (a, b)
 
     @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (4, 9), (7, 12), (9, 4)])
     @pytest.mark.parametrize("where", ["coefficient", "last-row", "last-column", "corner", "below"])
     def test_r_not_vacuous(self, monkeypatch, a, b, where):
-        true = rt_poly("R", 1, 1, a, b)
+        true = _r11_telescoped(a, b)
         top_q = max(i for i, _ in true._terms)
         top_t = max(j for _, j in true._terms)
         # one coefficient off, or one stray term in the row or column just past
-        # R11's support (the edge of the box the prefix sums are taken on)
+        # the support of R11 (q-1)(t-1), in the corner past both, or below q^0
         stray = {
             "coefficient": (top_q, 0, 1),
             "last-row": (top_q + 1, 0, 1),
@@ -369,19 +386,15 @@ class TestProp4:
             "below": (-1, 0, 1),
         }[where]
         broken = true + bi_monomial(*stray)
-
-        def patched(kind, *args):
-            return broken if kind == "R" else rt_poly(kind, *args)
-
-        monkeypatch.setattr(sdlab.identities, "rt_poly", patched)
+        monkeypatch.setattr(sdlab.identities, "_r11_telescoped", lambda a, b: broken)
         r, _ = check_prop4(a, b)
         assert r.verdict == "fail"
 
     def test_r_fails_when_both_sides_leave_the_box(self, monkeypatch):
-        # an R11 term below the box and a right-side term past it must not
-        # compare equal as two refusals
-        true_r, true_c = rt_poly("R", 1, 1, 3, 5), sdlab.identities.carlitz_poly(3, 5)
-        monkeypatch.setattr(sdlab.identities, "rt_poly", lambda kind, *args: true_r + bi_monomial(-1, 0))
+        # a left-side term below the support box and a right-side term past it
+        # must not compare equal
+        true_r, true_c = _r11_telescoped(3, 5), sdlab.identities.carlitz_poly(3, 5)
+        monkeypatch.setattr(sdlab.identities, "_r11_telescoped", lambda a, b: true_r + bi_monomial(-1, 0))
         monkeypatch.setattr(sdlab.identities, "carlitz_poly", lambda a, b: true_c + bi_monomial(50, 0))
         r, _ = check_prop4(3, 5)
         assert r.verdict == "fail"
@@ -409,17 +422,15 @@ class TestProp4:
             assert value == pytest.approx(t11.evaluate(q0, t0), rel=1e-12, abs=0), (a, b)
 
     def test_t11_expanded_only_when_counts_agree(self, monkeypatch):
-        # the counts agree at (2, 3) alone among the default pairs, so T11 is
-        # expanded there and valued and counted from its defining sum elsewhere
-        def no_t(kind, *args):
-            if kind == "T":
-                raise AssertionError("T11 expanded")
-            return rt_poly(kind, *args)
+        # the counts agree at (2, 3) alone among the default pairs, so R11 and
+        # T11 are expanded there and valued and counted in O(b) elsewhere
+        def no_expansion(kind, *args):
+            raise AssertionError(f"{kind}11 expanded")
 
-        monkeypatch.setattr(sdlab.identities, "rt_poly", no_t)
+        monkeypatch.setattr(sdlab.identities, "rt_poly", no_expansion)
         for a, b in coprime_pairs(SuiteRanges().pairs_max):
             if (a, b) == (2, 3):
-                with pytest.raises(AssertionError, match="T11 expanded"):
+                with pytest.raises(AssertionError, match="11 expanded"):
                     check_prop4(a, b)
             else:
                 _, t = check_prop4(a, b)
