@@ -48,7 +48,7 @@ print(f"s({a},{b}) + s({b},{a}) = {lhs} = -1/4 + (a/b + b/a + 1/ab)/12 = {rhs}")
 
 show("Zolotarev permutation and Voronoi sums")
 perm = zolotarev(3, 5)
-print(f"k -> 3k mod 5:  {list(perm.images)}")
+print(f"k -> 3k mod 5:  {list(perm)}")
 print(f"V_11(3,5) = sum k*floor(3k/5) = {voronoi_sum(3, 5, 1, 1)}")
 print(f"V_21(3,5) = sum k^2*floor(3k/5) = {voronoi_sum(3, 5, 2, 1)}")
 

@@ -212,7 +212,7 @@ def cmd_dedekind(args) -> int:
     if args.carlitz:
         out["carlitz"] = _poly_payload(carlitz_poly(a, b), args.format)
     if args.zolotarev:
-        out["zolotarev"] = list(zolotarev(a, b).images)
+        out["zolotarev"] = list(zolotarev(a, b))
     if args.sawtooth_poly:
         out["sawtooth_poly"] = _poly_payload(carlitz_sawtooth_poly(a, b), args.format)
     if args.floor_sum:

@@ -3,51 +3,24 @@
 Covers the classical sum s(a, b), Voronoi power sums V_{m,n}, the Zolotarev
 permutation k -> a*k mod b, Dedekind-Carlitz polynomials, their bivariate
 relatives, and Mirimanoff / Apostol-Bernoulli polynomials.  Exact rational
-arithmetic throughout except where a root of unity forces complex scalars.
+arithmetic throughout except the cotangent route and complex arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import require_coprime
-from .polyring import BiLaurent, LaurentPoly, geom_sum, monomial, roots_of_unity
+from .polyring import BiLaurent, LaurentPoly, geom_sum, monomial
 
 
-@dataclass(frozen=True)
-class ZolotarevPerm:
-    """The permutation k -> a*k mod b of {0, ..., b-1}, for coprime a, b."""
-
-    b: int
-    images: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.images[k]
-
-    def __len__(self) -> int:
-        return self.b
-
-    def compose(self, other: "ZolotarevPerm") -> "ZolotarevPerm":
-        if self.b != other.b:
-            raise ValueError("moduli differ")
-        return ZolotarevPerm(self.b, tuple(self.images[other.images[k]] for k in range(self.b)))
-
-
-def zolotarev(a: int, b: int) -> ZolotarevPerm:
-    """Division with remainder a*k = b*floor(a*k/b) + images[k], as a permutation."""
+def zolotarev(a: int, b: int) -> tuple[int, ...]:
+    """The permutation k -> a*k mod b of {0, ..., b-1}, for coprime a, b, as the
+    tuple of images: a*k = b*floor(a*k/b) + images[k]."""
     require_coprime(a, b)
-    return ZolotarevPerm(b, tuple(a * k % b for k in range(b)))
-
-
-def sawtooth(x) -> Fraction:
-    """((x)): 0 at integers, x - floor(x) - 1/2 otherwise.  Odd function."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
+    return tuple(a * k % b for k in range(b))
 
 
 def voronoi_sum(a: int, b: int, m: int, n: int) -> int:
@@ -176,18 +149,6 @@ def carlitz_poly(a: int, b: int) -> BiLaurent:
     """c(q, t; a, b) = sum_{k=1}^{b-1} q^{floor(a*k/b)} t^{k-1}."""
     require_coprime(a, b)
     return BiLaurent._raw({(a * k // b, k - 1): 1 for k in range(1, b)})
-
-
-def dj_poly(j: int, a: int, b: int) -> BiLaurent:
-    """sum_{k=1}^{b-1} e^{-2*pi*i*j*a*k/b} t^{k-1} / q^{pi(k)} with pi(k) = a*k mod b.
-
-    Exact (all scalars 1) when j = 0 mod b; complex coefficients otherwise.
-    """
-    require_coprime(a, b)
-    if j % b == 0:
-        return BiLaurent({(-(a * k % b), k - 1): 1 for k in range(1, b)})
-    roots = roots_of_unity(b)
-    return BiLaurent({(-(a * k % b), k - 1): roots[(-j * a * k) % b] for k in range(1, b)})
 
 
 def rt_poly(kind: str, m: int, n: int, a: int, b: int) -> BiLaurent:

@@ -1,14 +1,13 @@
 """Sparse exact Laurent-polynomial arithmetic in one and two variables.
 
 Polynomials are stored as maps from (possibly negative) integer exponents to
-nonzero coefficients.  Univariate coefficients are ints or
-`fractions.Fraction`s (ints stay unwrapped, which spares the Fraction gcd on
+nonzero coefficients.  In both classes a coefficient is an int or a
+`fractions.Fraction` (ints stay unwrapped, which spares the Fraction gcd on
 the mostly integer ring operations), so every ring operation here is exact;
-the only floating point in this module is root-of-unity evaluation, which
-returns complex numbers.  Bivariate polynomials additionally accept complex
-coefficients, needed when a root of unity appears as a scalar inside a
-coefficient.  Both classes share one sparse core, `_Sparse`; each keeps its
-own product kernel and the operations that read its exponents.
+floating point enters only when a polynomial is evaluated at a float or
+complex point, such as a root of unity.  Both classes share one sparse core,
+`_Sparse`, with its coefficient rule; each keeps its own product kernel and
+the operations that read its exponents.
 
 The exact counterpart of averaging f(e^{2*pi*i*j/n} q) over j is multisection:
 picking out the terms whose exponents lie in one residue class mod n.  That
@@ -19,6 +18,7 @@ workhorse the identity checkers build on.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,25 +34,27 @@ def roots_of_unity(n: int) -> tuple[complex, ...]:
 
 
 class _Sparse:
-    """Map from exponent key to nonzero coefficient: the ring core of both classes.
+    """Map from exponent key to nonzero int or Fraction coefficient: the ring
+    core of both classes.
 
-    A subclass declares the key of its constant term (`_ONE_KEY`), the
-    coefficient types it accepts (`_COEFFS`) and how a key is normalized
-    (`_key`).  It writes its own `__mul__`: adding exponents is the inner loop
-    of every product, so the kernel is not routed through a per-term hook.
+    A subclass declares the key of its constant term (`_ONE_KEY`) and how a
+    key is checked (`_key`, which refuses a non-integer exponent with
+    TypeError).  It writes its own `__mul__`: adding exponents is the inner
+    loop of every product, so the kernel is not routed through a per-term hook.
     """
 
     __slots__ = ("_terms",)
+    _COEFFS = (int, Fraction)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        coeffs, norm = self._COEFFS, self._key
+        coeffs, check_key = self._COEFFS, self._key
         data = {}
         for key, c in items:
             if not isinstance(c, coeffs):
                 self._check_coeff(c)  # raises
+            key = check_key(key)
             if c:
-                key = norm(key)
                 data[key] = data.get(key, 0) + c
         self._terms = {k: c for k, c in data.items() if c}
 
@@ -73,9 +75,10 @@ class _Sparse:
 
     @classmethod
     def _term(cls, key, c):
-        """The one-term polynomial c * key, its coefficient checked as the constructor would."""
+        """The one-term polynomial c * key, its key and coefficient checked as the constructor would."""
         cls._check_coeff(c)
-        return cls._raw({cls._key(key): c} if c else {})
+        key = cls._key(key)
+        return cls._raw({key: c} if c else {})
 
     # -- inspection -------------------------------------------------------
 
@@ -166,8 +169,7 @@ class LaurentPoly(_Sparse):
 
     __slots__ = ()
     _ONE_KEY = 0
-    _COEFFS = (int, Fraction)
-    _key = int
+    _key = operator.index
 
     # -- inspection -------------------------------------------------------
 
@@ -187,13 +189,10 @@ class LaurentPoly(_Sparse):
             raise ValueError("zero polynomial has no valuation")
         return min(self._terms)
 
-    def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self._terms.values()), Fraction(0))
-
     # -- ring operations --------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._COEFFS):
             return self._scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -281,10 +280,6 @@ class LaurentPoly(_Sparse):
         """JSON-ready term list [[exponent, "num/den"], ...], exponents ascending."""
         return [[e, f"{c.numerator}/{c.denominator}"] for e, c in self.items()]
 
-    @classmethod
-    def from_terms(cls, terms) -> "LaurentPoly":
-        return cls((int(e), Fraction(c)) for e, c in terms)
-
 
 def _render(items) -> str:
     if not items:
@@ -293,7 +288,7 @@ def _render(items) -> str:
     for key, c in items:
         exps = key if isinstance(key, tuple) else (key,)
         m = "*".join(var if e == 1 else f"{var}^{e}" for var, e in zip("qt", exps) if e)
-        cs = f"({c:.6g})" if isinstance(c, complex) else str(c)
+        cs = str(c)
         if m == "":
             term = cs
         elif cs == "1":
@@ -308,10 +303,6 @@ def _render(items) -> str:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-
-
-def constant(c) -> LaurentPoly:
-    return LaurentPoly({0: c})
 
 
 def monomial(e: int, c=1) -> LaurentPoly:
@@ -335,25 +326,23 @@ def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: L
 class BiLaurent(_Sparse):
     """Bivariate Laurent polynomial in (q, t).
 
-    Keys are (q-exponent, t-exponent) pairs.  Coefficients are Fractions in
-    exact work and may be complex where a root of unity enters a coefficient
-    (see dedekind.dj_poly).
+    Keys are (q-exponent, t-exponent) pairs; coefficients are exact, as in
+    `LaurentPoly`.
     """
 
     __slots__ = ()
     _ONE_KEY = (0, 0)
-    _COEFFS = (int, Fraction, complex)
 
     @staticmethod
     def _key(key):
         eq, et = key
-        return int(eq), int(et)
+        return operator.index(eq), operator.index(et)
 
     def coeff(self, eq: int, et: int):
         return self._terms.get((eq, et), 0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, complex)):
+        if isinstance(other, self._COEFFS):
             return self._scale(other)
         if not isinstance(other, BiLaurent):
             return NotImplemented
@@ -387,16 +376,8 @@ class BiLaurent(_Sparse):
         return sum(c * qpow[eq] * tpow[et] for (eq, et), c in self._terms.items())
 
     def to_terms(self) -> list:
-        out = []
-        for (eq, et), c in self.items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("only exact bivariate polynomials serialize to terms")
-            out.append([eq, et, f"{c.numerator}/{c.denominator}"])
-        return out
-
-    @classmethod
-    def from_terms(cls, terms) -> "BiLaurent":
-        return cls(((int(eq), int(et)), Fraction(c)) for eq, et, c in terms)
+        """JSON-ready term list [[q-exponent, t-exponent, "num/den"], ...], keys ascending."""
+        return [[eq, et, f"{c.numerator}/{c.denominator}"] for (eq, et), c in self.items()]
 
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:

@@ -1,4 +1,4 @@
-"""The module examples and the demo scripts stay runnable."""
+"""The export list resolves, and the module examples and the demo scripts stay runnable."""
 
 import doctest
 import os
@@ -8,11 +8,18 @@ from pathlib import Path
 
 import pytest
 
+import sdlab
 import sdlab.polyring
 import sdlab.semigroup
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_export_list_resolves():
+    names = sdlab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(sdlab, name)] == []
 
 
 def test_polyring_doctests():

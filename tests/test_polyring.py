@@ -11,7 +11,6 @@ from sdlab.polyring import (
     ONE,
     ZERO,
     bi_monomial,
-    constant,
     from_t,
     geom_sum,
     monomial,
@@ -116,7 +115,8 @@ class TestArithmetic:
 
 
 class TestCoefficientContract:
-    """What the shared core must keep apart: exact univariate, complex-capable bivariate."""
+    """What the shared core keeps: one exact coefficient rule for both classes,
+    and classes that never mix."""
 
     def test_univariate_is_exact(self):
         for c in (1j, 0.5):
@@ -130,14 +130,18 @@ class TestCoefficientContract:
         with pytest.raises(TypeError):
             f + 0.5
 
-    def test_bivariate_takes_complex(self):
-        p = BiLaurent({(1, 0): 1j, (0, 2): 1})
-        assert p.coeff(1, 0) == 1j
-        assert p * 2j == 2j * p == BiLaurent({(1, 0): -2, (0, 2): 2j})
+    def test_bivariate_refuses_complex(self):
+        for c in (1j, 0.5):
+            with pytest.raises(TypeError):
+                BiLaurent({(1, 0): c})
+        p = BiLaurent({(1, 0): 1, (0, 2): 1})
+        for c in (1j, 0.5):
+            with pytest.raises(TypeError):
+                p * c
+            with pytest.raises(TypeError):
+                c * p
         with pytest.raises(TypeError):
-            BiLaurent({(1, 0): 0.5})
-        with pytest.raises(TypeError):
-            p * 0.5
+            p + 1j
 
     def test_classes_never_equal(self):
         assert (LaurentPoly({0: 1}) == BiLaurent({(0, 0): 1})) is False
@@ -164,11 +168,27 @@ class TestConstructorGuards:
         with pytest.raises(TypeError):
             bi_monomial(1, 1, 0.5)
         with pytest.raises(TypeError):
-            constant(1j)
+            bi_monomial(1, 1, 2j)
         assert monomial(3, 0) == 0 and monomial(3, 0).is_zero()
         assert bi_monomial(1, 1, 0).is_zero()
-        assert bi_monomial(1, 1, 2j) == BiLaurent({(1, 1): 2j})
         assert monomial(-2, Fraction(1, 3)) == LaurentPoly({-2: Fraction(1, 3)})
+
+    def test_exponents_must_be_integers(self):
+        # int() would truncate 2.5 to 2 and parse "3" as 3 without a word
+        for e in (2.5, 0.5, 3.0, "3"):
+            for build in (
+                lambda: LaurentPoly({e: 1, 2: 1}),
+                lambda: monomial(e),
+                lambda: monomial(e, 0),
+                lambda: BiLaurent({(e, 0): 1}),
+                lambda: BiLaurent({(0, e): 1}),
+                lambda: bi_monomial(e, 0),
+                lambda: bi_monomial(0, e, 0),
+            ):
+                with pytest.raises(TypeError):
+                    build()
+        assert LaurentPoly({-3: 1, 2: 1}) == monomial(-3) + monomial(2)
+        assert BiLaurent({(-1, 4): 2}) == bi_monomial(-1, 4, 2)
 
     def test_sawtooth_poly_keeps_validating(self):
         # 2 * (1 * 2 mod 4) = 4: the coefficient of q^2 is zero and must be dropped
@@ -243,7 +263,7 @@ class TestRootEvaluation:
             # e^{2 pi i j/n} = 1 when n = 1; compare against exact evaluation there
             if n == 1:
                 exact = f.evaluate(Fraction(1))
-                assert abs(f.eval_root_of_unity(1, j) - float(exact)) <= 1e-10 * (1 + float(f.l1_norm()))
+                assert abs(f.eval_root_of_unity(1, j) - float(exact)) <= 1e-10 * (1 + float(sum(abs(c) for _, c in f.items())))
 
     def test_multiplicativity(self):
         rng = random.Random(4)
@@ -391,7 +411,7 @@ class TestDivision:
             assert quotient == f
             assert all(isinstance(c, (int, Fraction)) for _, c in quotient.items())
         half = (q + 1).divexact(2 * q + 2)
-        assert half == constant(Fraction(1, 2)) and isinstance(half.coeff(0), Fraction)
+        assert half == LaurentPoly({0: Fraction(1, 2)}) and isinstance(half.coeff(0), Fraction)
         with pytest.raises(InexactDivision):
             (3 * q**2 + 1).divexact(g)
 
@@ -456,12 +476,10 @@ class TestSerialization:
     def test_terms_format(self):
         f = LaurentPoly({2: Fraction(3, 4), -1: 2})
         assert f.to_terms() == [[-1, "2/1"], [2, "3/4"]]
-        assert LaurentPoly.from_terms(f.to_terms()) == f
 
     def test_bivariate_roundtrip(self):
         p = BiLaurent({(0, 0): 1, (2, 3): Fraction(-1, 2)})
         assert p.to_terms() == [[0, 0, "1/1"], [2, 3, "-1/2"]]
-        assert BiLaurent.from_terms(p.to_terms()) == p
 
 
 class TestBiLaurent:
@@ -493,15 +511,8 @@ class TestBiLaurent:
         literal = sum(c * qv**eq * tv**et for (eq, et), c in terms.items())
         assert BiLaurent(terms).evaluate(qv, tv) == literal
 
-    def test_complex_coefficients_supported(self):
-        p = BiLaurent({(-1, 0): 1j, (0, 0): 1})
-        assert p.evaluate(2.0, 1.0) == 1 + 0.5j
-
 
 class TestConstantsAndDisplay:
-    def test_constant(self):
-        assert constant(Fraction(5, 3)).coeff(0) == Fraction(5, 3)
-
     def test_str_forms(self):
         assert str(ZERO) == "0"
         assert str(LaurentPoly({0: 1, 1: -1, 2: 1})) == "1 - q + q^2"
