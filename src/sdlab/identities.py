@@ -4,11 +4,11 @@ One checker per identity.  Each checker computes the two sides by independent
 routes and returns an IdentityReport; those of prop1 and gapvalues return one
 report per residue class of the modulus they are called with.  Where the
 identity is a polynomial statement, the root-of-unity average on one side is
-realized exactly by multisection and the comparison is exact (mode "exact",
-residual 0 on pass); otherwise both sides are evaluated in complex floating
-point against the defining sum (mode "float").  A float check passes within
-FLOAT_TOL * (1 + |LHS|), except gapvalues, which applies the absolute
-GAP_VALUES_TOL.
+realized exactly by multisection and _exact reports the comparison (mode
+"exact", residual 0 on pass); otherwise both sides are evaluated in complex
+floating point against the defining sum and _within compares the residual with
+its tolerance (mode "float"): FLOAT_TOL * (1 + |LHS|), or the absolute
+GAP_VALUES_TOL for gapvalues.  Checkers do not time; run_suite does.
 
 The catalog itself is CATALOG, next to run_suite: one row per checker with
 the report ids it emits, the statement checked and the checks run_suite
@@ -70,15 +70,11 @@ class IdentityReport:
     mode: str  # "exact" | "float"
     residual: float
     verdict: str  # "pass" | "fail" | "expected-discrepancy"
-    elapsed_ms: float = 0.0
+    elapsed_ms: float = 0.0  # set by run_suite
     notes: str | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != "fail"
 
-
-def _finish(identity_id, params, mode, residual, ok, started, notes=None, expected=False):
+def _finish(identity_id, params, mode, residual, ok, notes=None, expected=False):
     if expected:
         verdict = "expected-discrepancy"
     else:
@@ -89,9 +85,16 @@ def _finish(identity_id, params, mode, residual, ok, started, notes=None, expect
         mode=mode,
         residual=float(residual),
         verdict=verdict,
-        elapsed_ms=(time.perf_counter() - started) * 1e3,
         notes=notes,
     )
+
+
+def _exact(identity_id, params, ok):
+    return _finish(identity_id, params, "exact", 0.0 if ok else 1.0, ok)
+
+
+def _within(identity_id, params, residual, tol):
+    return _finish(identity_id, params, "float", residual, residual <= tol)
 
 
 def _gen_params(S: NumericalSemigroup) -> dict:
@@ -123,7 +126,6 @@ def check_eq1(a: int, b: int) -> IdentityReport:
     q^{N+1}/(1-q), so the closed form is checked exactly via cross-multiplied
     rational functions.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     N = a * b
     S = torus_semigroup(a, b)
@@ -134,7 +136,7 @@ def check_eq1(a: int, b: int) -> IdentityReport:
         ONE - monomial(a * b),
         (ONE - monomial(a)) * (ONE - monomial(b)),
     )
-    return _finish("eq1", {"a": a, "b": b, "N": N}, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("eq1", {"a": a, "b": b, "N": N}, ok)
 
 
 # -- section 2: Apery data from the gap polynomial -------------------------------
@@ -144,10 +146,9 @@ def check_eq6(S: NumericalSemigroup, s: int) -> IdentityReport:
     """Gap polynomial reassembled from Apery geometric blocks: for a nonzero
     member s, summing q^k (1 + q^s + ... + q^{s(floor(a_k/s)-1)}) over the
     residue classes k must reproduce C_S exactly."""
-    started = time.perf_counter()
     ok = S.gap_poly_from_apery(s) == S.gap_poly()
     params = {**_gen_params(S), "s": s}
-    return _finish("eq6", params, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("eq6", params, ok)
 
 
 def _prop1_reports(ids: tuple, S: NumericalSemigroup, s: int, cases) -> list:
@@ -155,7 +156,6 @@ def _prop1_reports(ids: tuple, S: NumericalSemigroup, s: int, cases) -> list:
     the polynomial statement ids[0] and the integer statement ids[1], each with
     class r and that floor.  What the cases share is computed once: the class
     split of C_S and its class counts."""
-    started = time.perf_counter()
     poly_id, count_id = ids
     parts = S.gap_poly().multisection(s)
     counts = S.class_counts(s)
@@ -163,11 +163,9 @@ def _prop1_reports(ids: tuple, S: NumericalSemigroup, s: int, cases) -> list:
     for params, r, fl in cases:
         # (q^s - 1) * part, shifted by q^{-r}
         ok = monomial(s * fl) == ONE + parts[r].shift(s - r) - parts[r].shift(-r)
-        reports.append(_finish(poly_id, params, "exact", 0.0 if ok else 1.0, ok, started))
-        started = time.perf_counter()
+        reports.append(_exact(poly_id, params, ok))
         err = abs(fl - counts[r])
-        reports.append(_finish(count_id, params, "exact", err, err == 0, started))
-        started = time.perf_counter()
+        reports.append(_finish(count_id, params, "exact", err, err == 0))
     return reports
 
 
@@ -255,7 +253,6 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
     The check is float only, within FLOAT_TOL * (1 + |V|), at any b; n is
     at most PROP2_N_MAX.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -267,8 +264,7 @@ def check_prop2(a: int, b: int, m: int, n: int) -> IdentityReport:
     v = voronoi_sum(a, b, m, n)
     rhs_mir, rhs_ab = _prop2_rhs(a, b, m, n)
     residual = max(abs(v - rhs_mir), abs(v - rhs_ab))
-    ok = residual <= FLOAT_TOL * (1 + abs(v))
-    return _finish("prop2", {"a": a, "b": b, "m": m, "n": n}, "float", residual, ok, started)
+    return _within("prop2", {"a": a, "b": b, "m": m, "n": n}, residual, FLOAT_TOL * (1 + abs(v)))
 
 
 # -- section 4: Dedekind-Carlitz polynomials --------------------------------------
@@ -281,7 +277,6 @@ def check_prop3(a: int, b: int) -> IdentityReport:
     multisection of the gap polynomial, so both sides are bivariate Laurent
     polynomials.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     parts = torus_semigroup(a, b).gap_poly().multisection(b)
     # block k, (q^b - 1) * part pi(k) shifted by q^{-pi(k)}, fills only
@@ -292,7 +287,7 @@ def check_prop3(a: int, b: int) -> IdentityReport:
         for e, c in (parts[pik].shift(b) - parts[pik])._terms.items():
             blocks[e - pik, k - 1] = c
     ok = carlitz_poly(a, b).scale_q(b) == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
-    return _finish("prop3", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("prop3", {"a": a, "b": b}, ok)
 
 
 def _r11_telescoped(a: int, b: int) -> BiLaurent:
@@ -364,7 +359,6 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
        a shift keeps the term count, so R_{1,1} and T_{1,1} are expanded
        (rt_poly) and compared reading by reading only when the counts agree.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     params = {"a": a, "b": b}
 
@@ -376,10 +370,8 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
         + floor_corr.shift(1, 0)
         - floor_corr
     )
-    ok_r = rhs == _r11_telescoped(a, b)
-    r_report = _finish("prop4.R11", params, "exact", 0.0 if ok_r else 1.0, ok_r, started)
+    r_report = _exact("prop4.R11", params, rhs == _r11_telescoped(a, b))
 
-    started_t = time.perf_counter()
     q0, t0 = QT_SAMPLE
     tv, t11_count = _t11_sum(a, b, q0, t0)
     dv, display_count = _t11_display(a, b, q0, t0)
@@ -392,11 +384,7 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
         f"T11 by definition = {tv:.12g}, display with k=1 reading = {dv:.12g} "
         f"at (q,t)=({q0},{t0}); term counts {t11_count} vs {display_count}"
     )
-    t_report = _finish(
-        "prop4.T11", params, "exact", residual, all_match, started_t,
-        notes=notes, expected=not all_match,
-    )
-    return r_report, t_report
+    return r_report, _finish("prop4.T11", params, "exact", residual, all_match, notes=notes, expected=not all_match)
 
 
 def check_prop5(a: int, b: int) -> IdentityReport:
@@ -406,11 +394,10 @@ def check_prop5(a: int, b: int) -> IdentityReport:
     the coefficient of q^i on the right is the number of gaps in class a*i
     mod b, which must equal floor(ai/b).
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     counts = torus_semigroup(a, b).class_counts(b)
     ok = all(a * i // b == counts[(a * i) % b] for i in range(b))
-    return _finish("prop5", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("prop5", {"a": a, "b": b}, ok)
 
 
 # -- section 5: classical Dedekind sums -------------------------------------------
@@ -425,16 +412,14 @@ def check_gap_values(a: int, b: int) -> list:
     _gap_root_values, the defining sum over the gaps regrouped by class mod b
     (class_counts(b) of the gap list), so it does not use the closed form.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     S = torus_semigroup(a, b)
     ok = Fraction(S.genus) == Fraction((a - 1) * (b - 1), 2)
-    reports = [_finish("gapvalues", {"a": a, "b": b, "k": 0}, "exact", 0.0 if ok else 1.0, ok, started)]
+    reports = [_exact("gapvalues", {"a": a, "b": b, "k": 0}, ok)]
     values, roots = _gap_root_values(a, b), roots_of_unity(b)
     for k in range(1, b):
-        started = time.perf_counter()
         err = abs(values[k] - (a / (roots[k * a % b] - 1) - 1 / (roots[k] - 1)))
-        reports.append(_finish("gapvalues", {"a": a, "b": b, "k": k}, "float", err, err <= GAP_VALUES_TOL, started))
+        reports.append(_within("gapvalues", {"a": a, "b": b, "k": k}, err, GAP_VALUES_TOL))
     return reports
 
 
@@ -444,14 +429,13 @@ def check_prop6(a: int, b: int) -> IdentityReport:
     Float: the defining integer sum against the literal complex sum, with
     C(eps^j) read from _gap_root_values.
     """
-    started = time.perf_counter()
     require_coprime(a, b)
     v = voronoi_sum(a, b, 1, 1)
     roots = roots_of_unity(b)
     cj = _gap_root_values(a, b)
     trig = sum((cj[j] / (roots[(-j * a) % b] - 1) for j in range(1, b)), 0j)
     err = abs(v - (trig + (a - 1) * (b - 1) ** 2 / 4))
-    return _finish("prop6.eq7", {"a": a, "b": b}, "float", err, err <= FLOAT_TOL * (1 + abs(v)), started)
+    return _within("prop6.eq7", {"a": a, "b": b}, err, FLOAT_TOL * (1 + abs(v)))
 
 
 # -- section 6: quotient semigroups ------------------------------------------------
@@ -460,7 +444,6 @@ def check_prop6(a: int, b: int) -> IdentityReport:
 def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
     """g(S/d) three ways: brute-force quotient genus, multisection count of the
     gaps divisible by d, and the Apery floor sum for every valid s <= 20."""
-    started = time.perf_counter()
     if d < 1:
         raise ValueError("d must be >= 1")
     quotient = S.quotient(d)
@@ -470,7 +453,7 @@ def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
         raise ValueError("no nonzero s <= 20 in S/d")
     ok = S.genus_quotient_trig(d) == g and all(S.genus_quotient_apery(d, s) == g for s in svals)
     params = {**_gen_params(S), "d": d}
-    return _finish("prop7", params, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("prop7", params, ok)
 
 
 # -- extra catalog rows exercised by acceptance criterion 6 -------------------------
@@ -478,10 +461,9 @@ def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
 
 def check_cor510(a: int, b: int) -> IdentityReport:
     """Floor-sum polynomial identity relating sums over k mod b and k mod a."""
-    started = time.perf_counter()
     lhs, rhs = carlitz_floor_sum(a, b)
     ok = lhs == rhs
-    return _finish("cor510", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("cor510", {"a": a, "b": b}, ok)
 
 
 def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
@@ -493,12 +475,11 @@ def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
     - 2b (q-1)^2 sum_k floor(ak/b) q^k.  A coefficient of lhs whose
     denominator does not divide 2b fails the check.
     """
-    started = time.perf_counter()
     two_b = 2 * b
     scaled = {}
     for e, c in carlitz_sawtooth_poly(a, b)._terms.items():
         if two_b % c.denominator:
-            return _finish("sawtoothpoly", {"a": a, "b": b}, "exact", 1.0, False, started)
+            return _exact("sawtoothpoly", {"a": a, "b": b}, False)
         scaled[e] = c.numerator * (two_b // c.denominator)
     q1 = monomial(1) - ONE
     q1_sq = q1 * q1
@@ -507,7 +488,7 @@ def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
     floor_poly = LaurentPoly({k: a * k // b for k in range(b)})
     rhs = 2 * a * deriv_num - b * qb_minus_1 * q1 - two_b * floor_poly * q1_sq
     ok = LaurentPoly._raw(scaled) * q1_sq == rhs
-    return _finish("sawtoothpoly", {"a": a, "b": b}, "exact", 0.0 if ok else 1.0, ok, started)
+    return _exact("sawtoothpoly", {"a": a, "b": b}, ok)
 
 
 # -- suite ---------------------------------------------------------------------
@@ -530,8 +511,8 @@ class SuiteRanges:
     identities: tuple = ()
 
 
-def coprime_pairs(bmax: int, amin: int = 2) -> list:
-    return [(a, b) for b in range(amin + 1, bmax + 1) for a in range(amin, b) if gcd(a, b) == 1]
+def coprime_pairs(bmax: int) -> list:
+    return [(a, b) for b in range(3, bmax + 1) for a in range(2, b) if gcd(a, b) == 1]
 
 
 def random_semigroups(count: int, rng: random.Random) -> list:
@@ -606,9 +587,11 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     seed: the random-semigroup population comes from a seeded PRNG, every
     float check evaluates at fixed sample points, and the returned reports are
     sorted canonically (id, then params) regardless of the order the checks
-    ran in.  A filter in ranges.identities that is a prefix of no id in
-    IDENTITY_IDS raises UnknownIdentity; ranges with pairs_max > 0 that give
-    the wanted rows no check raise EmptyPlan.
+    ran in.  Each report's elapsed_ms is the time since the previous report
+    of the same row call, or since the call began, stamped before the
+    identity filter looks at it.  A filter in ranges.identities that is a
+    prefix of no id in IDENTITY_IDS raises UnknownIdentity; ranges with
+    pairs_max > 0 that give the wanted rows no check raise EmptyPlan.
     """
     for f in ranges.identities:
         if not any(i.startswith(f) for i in IDENTITY_IDS):
@@ -619,17 +602,26 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     def want(identity_id: str) -> bool:
         return not ranges.identities or any(identity_id.startswith(f) for f in ranges.identities)
 
-    rows = [row for row in CATALOG if any(want(i) for i in row.ids)]
     reports = []
+
+    def run(check, *args) -> None:
+        last = time.perf_counter()
+        for r in check(*args):
+            now = time.perf_counter()
+            r.elapsed_ms, last = (now - last) * 1e3, now
+            if want(r.identity_id):
+                reports.append(r)
+
+    rows = [row for row in CATALOG if any(want(i) for i in row.ids)]
     pair_checks = [row.pair for row in rows if row.pair]
     for a, b in coprime_pairs(ranges.pairs_max):
         for check in pair_checks:
-            reports.extend(r for r in check(a, b) if want(r.identity_id))
+            run(check, a, b)
     # the seeded semigroups are drawn only if a wanted row checks them
     semigroup_checks = [row.semigroup for row in rows if row.semigroup]
     for S in random_semigroups(ranges.semigroups, random.Random(seed)) if semigroup_checks else ():
         for check in semigroup_checks:
-            reports.extend(r for r in check(S, ranges) if want(r.identity_id))
+            run(check, S, ranges)
     if not reports:
         raise EmptyPlan(f"no check to run: {ranges} gives the wanted ids no parameters")
     reports.sort(key=lambda r: (r.identity_id, sorted(r.params.items())))

@@ -8,7 +8,7 @@ literally in complex arithmetic.
 import cmath
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import factorial, gcd
 
 from sdlab.polyring import BiLaurent
 from sdlab.semigroup import NumericalSemigroup
@@ -28,6 +28,11 @@ def pair_gaps(a: int, b: int) -> list:
     bound = a * b  # the largest gap of <a, b> is ab - a - b
     members = pair_members(a, b, bound)
     return [x for x in range(bound + 1) if x not in members]
+
+
+def coprime_pairs(bmax: int, amin: int) -> list:
+    """The coprime pairs (a, b) with amin <= a < b <= bmax, by b and then a."""
+    return [(a, b) for b in range(amin + 1, bmax + 1) for a in range(amin, b) if gcd(a, b) == 1]
 
 
 def closure_members(gens, bound: int) -> set:

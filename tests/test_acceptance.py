@@ -8,7 +8,6 @@ assert the measured wall-clock time as well.
 import random
 import time
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -36,7 +35,7 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import pair_gaps
+from oracles import coprime_pairs, pair_gaps
 
 
 def _report(num: int, label: str, ok: bool, elapsed: float | None = None) -> None:
@@ -44,10 +43,6 @@ def _report(num: int, label: str, ok: bool, elapsed: float | None = None) -> Non
     timing = f" ({elapsed:.2f}s)" if elapsed is not None else ""
     print(f"[criterion {num:02d}] {label}: {status}{timing}")
     assert ok, f"criterion {num} failed: {label}"
-
-
-def coprime_pairs(bmax: int, amin: int = 2):
-    return [(a, b) for b in range(amin + 1, bmax + 1) for a in range(amin, b) if gcd(a, b) == 1]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +54,7 @@ def population():
 def test_criterion_01_gap_set_oracle():
     start = time.perf_counter()
     ok = True
-    for a, b in coprime_pairs(30):
+    for a, b in coprime_pairs(30, 2):
         ok = ok and torus_gaps_mordell(a, b) == pair_gaps(a, b)
     elapsed = time.perf_counter() - start
     _report(1, "closed-form gap sets match enumeration for 2<=a<b<=30", ok and elapsed < 5.0, elapsed)
@@ -67,7 +62,7 @@ def test_criterion_01_gap_set_oracle():
 
 def test_criterion_02_alexander_chain():
     ok = True
-    for a, b in coprime_pairs(30):
+    for a, b in coprime_pairs(30, 2):
         S = torus_semigroup(a, b)
         alex = alexander_closed_form(a, b)
         ok = ok and alex == S.semigroup_poly()
@@ -81,7 +76,7 @@ def test_criterion_02_alexander_chain():
 def test_criterion_03_apery_floor_extraction(population):
     start = time.perf_counter()
     ok = True
-    for a, b in coprime_pairs(30):
+    for a, b in coprime_pairs(30, 2):
         ok = ok and all(r.verdict == "pass" for r in check_prop1_ab(a, b))
     for S in population:
         for s in (s for s in range(1, 26) if S.contains(s)):
@@ -92,7 +87,7 @@ def test_criterion_03_apery_floor_extraction(population):
 
 def test_criterion_04_gap_poly_from_apery(population):
     ok = True
-    for a, b in coprime_pairs(30):
+    for a, b in coprime_pairs(30, 2):
         S = torus_semigroup(a, b)
         for s in (a, b):
             ok = ok and S.gap_poly_from_apery(s) == S.gap_poly()
@@ -104,13 +99,13 @@ def test_criterion_04_gap_poly_from_apery(population):
 
 def test_criterion_05_voronoi_root_expansion():
     ok = True
-    for a, b in coprime_pairs(12, amin=1):
+    for a, b in coprime_pairs(12, 1):
         for m in range(1, 5):
             for n in range(1, 4):
                 r = check_prop2(a, b, m, n)
                 v = voronoi_sum(a, b, m, n)
                 ok = ok and r.residual <= 1e-6 * (1 + v)
-    for a, b in coprime_pairs(40, amin=1):
+    for a, b in coprime_pairs(40, 1):
         for m in range(1, 5):
             r = check_prop2(a, b, m, 1)
             v = voronoi_sum(a, b, m, 1)
@@ -120,7 +115,7 @@ def test_criterion_05_voronoi_root_expansion():
 
 def test_criterion_06_exact_polynomial_identities():
     ok = True
-    for a, b in coprime_pairs(20, amin=1):
+    for a, b in coprime_pairs(20, 1):
         ok = ok and check_prop3(a, b).verdict == "pass"
         r_rep, _ = check_prop4(a, b)
         ok = ok and r_rep.verdict == "pass" and r_rep.residual == 0.0
@@ -133,7 +128,7 @@ def test_criterion_06_exact_polynomial_identities():
 def test_criterion_07_t11_expected_discrepancy():
     ok = True
     seen_discrepancy = False
-    for a, b in coprime_pairs(12):
+    for a, b in coprime_pairs(12, 2):
         _, t_rep = check_prop4(a, b)
         if t_rep.verdict == "expected-discrepancy":
             seen_discrepancy = True
@@ -149,11 +144,11 @@ def test_criterion_07_t11_expected_discrepancy():
 
 def test_criterion_08_dedekind_sum_consistency():
     ok = True
-    for a, b in coprime_pairs(50, amin=1):
+    for a, b in coprime_pairs(50, 1):
         exact = dedekind_sum(a, b, "sawtooth")
         ok = ok and dedekind_sum(a, b, "voronoi") == exact
         ok = ok and abs(dedekind_sum(a, b, "cotangent") - exact) < 1e-9
-    for a, b in coprime_pairs(40, amin=1):
+    for a, b in coprime_pairs(40, 1):
         lhs = dedekind_sum(a, b) + dedekind_sum(b, a)
         rhs = Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
         ok = ok and lhs == rhs
@@ -162,7 +157,7 @@ def test_criterion_08_dedekind_sum_consistency():
 
 def test_criterion_09_v11_root_sum():
     ok = True
-    for a, b in coprime_pairs(50, amin=1):
+    for a, b in coprime_pairs(50, 1):
         r = check_prop6(a, b)
         v = voronoi_sum(a, b, 1, 1)
         ok = ok and r.residual <= 1e-8 * (1 + v)
@@ -173,7 +168,7 @@ def test_criterion_09_v11_root_sum():
 
 def test_criterion_10_quotient_genus(population):
     ok = True
-    cases = list(population) + [torus_semigroup(a, b) for a, b in coprime_pairs(20)]
+    cases = list(population) + [torus_semigroup(a, b) for a, b in coprime_pairs(20, 2)]
     for S in cases:
         for d in range(1, 9):
             expected = S.quotient(d).genus

@@ -172,6 +172,16 @@ class TestVerifyCommand:
         run_cli(capsys, *self.ARGS, "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_timings_change_nothing_else(self, capsys, tmp_path):
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        run_cli(capsys, *self.ARGS, "--out", str(plain))
+        run_cli(capsys, *self.ARGS, "--timings", "--out", str(timed))
+        objs = json.loads(timed.read_text())
+        assert any(o["elapsed_ms"] > 0 for o in objs)
+        for o in objs:
+            o["elapsed_ms"] = 0.0
+        assert objs == json.loads(plain.read_text())
+
     @pytest.mark.parametrize("seed", [0, 7])
     def test_default_run_is_suite_ranges(self, capsys, tmp_path, seed):
         # SuiteRanges() describes the run `sdlab verify` makes with no size given

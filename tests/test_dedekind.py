@@ -20,16 +20,13 @@ from sdlab.errors import GcdNotOne
 from sdlab.polyring import BiLaurent, LaurentPoly, roots_of_unity
 
 from oracles import (
+    coprime_pairs,
     dedekind_kb_form,
     dedekind_quotient_form,
     dedekind_root_form,
     dedekind_sawtooth_sum,
     rt_product_route,
 )
-
-
-def coprime_pairs(bmax, amin=1):
-    return [(a, b) for b in range(2, bmax + 1) for a in range(amin, b) if gcd(a, b) == 1]
 
 
 class TestZolotarev:
@@ -39,7 +36,7 @@ class TestZolotarev:
         assert zolotarev(2, 3) == (0, 2, 1)
 
     def test_permutation_and_division(self):
-        for a, b in coprime_pairs(20):
+        for a, b in coprime_pairs(20, 1):
             perm = zolotarev(a, b)
             assert sorted(perm) == list(range(b))
             assert perm[0] == 0
@@ -47,7 +44,7 @@ class TestZolotarev:
                 assert a * k == b * (a * k // b) + perm[k]
 
     def test_inverse_composition(self):
-        for a, b in coprime_pairs(20, amin=1):
+        for a, b in coprime_pairs(20, 1):
             a_inv = pow(a, -1, b)
             perm, inv = zolotarev(a, b), zolotarev(a_inv, b)
             assert tuple(perm[inv[k]] for k in range(b)) == tuple(range(b))
@@ -75,20 +72,20 @@ class TestDedekindSum:
         assert dedekind_sum(3, 5, "voronoi") == 0
 
     def test_routes_agree(self):
-        for a, b in coprime_pairs(25):
+        for a, b in coprime_pairs(25, 1):
             exact = dedekind_sum(a, b, "sawtooth")
             assert dedekind_sum(a, b, "voronoi") == exact
             assert abs(dedekind_sum(a, b, "cotangent") - exact) < 1e-9
 
     def test_other_displayed_forms(self):
-        for a, b in coprime_pairs(15):
+        for a, b in coprime_pairs(15, 1):
             exact = dedekind_sum(a, b)
             assert dedekind_kb_form(a, b) == exact
             assert abs(dedekind_root_form(a, b) - exact) < 1e-9
             assert abs(dedekind_quotient_form(a, b) - exact) < 1e-9
 
     def test_reciprocity(self):
-        for a, b in coprime_pairs(25):
+        for a, b in coprime_pairs(25, 1):
             lhs = dedekind_sum(a, b) + dedekind_sum(b, a)
             rhs = Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
             assert lhs == rhs
@@ -109,7 +106,7 @@ class TestVoronoiSum:
         assert voronoi_sum(3, 5, 2, 1) == 45
 
     def test_nonnegative(self):
-        for a, b in coprime_pairs(12):
+        for a, b in coprime_pairs(12, 1):
             for m in range(4):
                 for n in range(4):
                     assert voronoi_sum(a, b, m, n) >= 0
@@ -188,11 +185,11 @@ class TestCarlitzPoly:
         assert carlitz_poly(2, 3) == BiLaurent({(0, 0): 1, (1, 1): 1})
 
     def test_term_count_is_b_minus_one(self):
-        for a, b in coprime_pairs(15):
+        for a, b in coprime_pairs(15, 1):
             assert carlitz_poly(a, b).evaluate(1, 1) == b - 1
 
     def test_degree_bounds(self):
-        for a, b in coprime_pairs(12, amin=2):
+        for a, b in coprime_pairs(12, 2):
             keys = [k for k, _ in carlitz_poly(a, b).items()]
             assert max(eq for eq, _ in keys) <= a - 1
             assert max(et for _, et in keys) <= b - 2
@@ -200,7 +197,7 @@ class TestCarlitzPoly:
 
 class TestRTPolys:
     def test_value_at_one_matches_voronoi(self):
-        for a, b in coprime_pairs(15):
+        for a, b in coprime_pairs(15, 1):
             for m in range(4):
                 for n in range(4):
                     v = voronoi_sum(a, b, m, n)
@@ -222,7 +219,7 @@ class TestRTPolys:
     def test_equals_the_product_route(self):
         # equal floats at a sample point: both sum the same terms in the same order
         # a + b has the same pi(k) as a, and floor((a + b)k/b) = floor(ak/b) + k
-        pairs = coprime_pairs(12, amin=1)
+        pairs = coprime_pairs(12, 1)
         for a, b in pairs + [(a + b, b) for a, b in pairs]:
             for kind in "RT":
                 for m in range(4):
@@ -247,7 +244,7 @@ class TestCarlitzFloorSum:
         assert lhs == LaurentPoly({0: 1, 1: 1}) and rhs == lhs
 
     def test_identity_over_range(self):
-        for a, b in coprime_pairs(20):
+        for a, b in coprime_pairs(20, 1):
             lhs, rhs = carlitz_floor_sum(a, b)
             assert lhs == rhs
 
@@ -267,7 +264,7 @@ class TestCarlitzSawtoothPoly:
         )
 
     def test_coefficients_definition(self):
-        for a, b in coprime_pairs(12):
+        for a, b in coprime_pairs(12, 1):
             p = carlitz_sawtooth_poly(a, b)
             for k in range(b):
                 assert p.coeff(k) == Fraction(a * k, b) - (a * k // b) - Fraction(1, 2)

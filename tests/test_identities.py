@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -42,7 +43,6 @@ from sdlab.identities import (
     check_prop6,
     check_prop7,
     check_sawtooth_poly,
-    coprime_pairs,
     random_semigroups,
     report_to_obj,
     reports_to_csv,
@@ -53,7 +53,7 @@ from sdlab.identities import (
 from sdlab.polyring import LaurentPoly, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
-from oracles import prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
+from oracles import coprime_pairs, prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
 
 
 class TestEq1:
@@ -133,7 +133,7 @@ class TestProp1AB:
             (i, k) for k in range(5) for i in ("prop1.eq4", "prop1.eq5")]
 
     def test_all_classes_small_sweep(self):
-        for a, b in coprime_pairs(10):
+        for a, b in coprime_pairs(10, 2):
             assert passes(check_prop1_ab(a, b))
 
     def test_errors(self):
@@ -159,7 +159,7 @@ class TestProp2:
             assert check_prop2(*args).verdict == "pass", args
 
     def test_cyclic_power_matches_composition_sum(self):
-        for a, b in coprime_pairs(8, amin=1):
+        for a, b in coprime_pairs(8, 1):
             for m in range(1, 5):
                 kernels = (
                     lambda lam: mirimanoff(lam, m, b),
@@ -260,7 +260,7 @@ class TestCaches:
         # pair's root values must read them while it is current
         _gap_root_values.cache_clear()
         run_suite(SuiteRanges(pairs_max=44, semigroups=0, identities=("prop2", "gapvalues", "prop6")), seed=0)
-        assert _gap_root_values.cache_info().misses == len(coprime_pairs(44))
+        assert _gap_root_values.cache_info().misses == len(sdlab.identities.coprime_pairs(44))
 
     def test_each_pair_built_once_past_the_cli_limit(self):
         # eq1 and prop5 both build the pair's semigroup; a run that took the
@@ -268,7 +268,7 @@ class TestCaches:
         # the cache
         torus_semigroup.cache_clear()
         run_suite(SuiteRanges(pairs_max=60, semigroups=0, identities=("eq1", "prop5")), seed=0)
-        assert torus_semigroup.cache_info().misses == len(coprime_pairs(60))
+        assert torus_semigroup.cache_info().misses == len(sdlab.identities.coprime_pairs(60))
 
 
 def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
@@ -334,7 +334,7 @@ class TestProp3:
         # the exact route the checker takes and the literal d_j sum of the
         # display (tests/oracles.py); q near 1 keeps the q^{-pi(k)} factors
         # inside d_j from amplifying roundoff
-        for a, b in coprime_pairs(20, amin=1):
+        for a, b in coprime_pairs(20, 1):
             assert check_prop3(a, b).verdict == "pass"
             lhs = carlitz_poly(a, b).scale_q(b)
             for q0, t0 in ((0.9, 0.59), (0.86, 0.43)):
@@ -359,7 +359,7 @@ class TestProp4:
     def test_telescoped_sum_pins_rt_poly(self):
         # the O(b) route against the expansion it replaces, a = 1 included
         q_1, t_1 = bi_monomial(1, 0) - 1, bi_monomial(0, 1) - 1
-        pairs = coprime_pairs(20) + [(1, b) for b in range(2, 21)]
+        pairs = coprime_pairs(20, 2) + [(1, b) for b in range(2, 21)]
         assert (1, 2) in pairs and (19, 20) in pairs
         for a, b in pairs:
             r11 = rt_poly("R", 1, 1, a, b)
@@ -413,7 +413,7 @@ class TestProp4:
 
     def test_t11_sum_matches_expansion(self):
         q0, t0 = QT_SAMPLE
-        pairs = coprime_pairs(20) + [(1, b) for b in range(2, 30)]
+        pairs = coprime_pairs(20, 2) + [(1, b) for b in range(2, 30)]
         assert (2, 3) in pairs
         for a, b in pairs:
             t11 = rt_poly("T", 1, 1, a, b)
@@ -428,7 +428,7 @@ class TestProp4:
             raise AssertionError(f"{kind}11 expanded")
 
         monkeypatch.setattr(sdlab.identities, "rt_poly", no_expansion)
-        for a, b in coprime_pairs(SuiteRanges().pairs_max):
+        for a, b in coprime_pairs(SuiteRanges().pairs_max, 2):
             if (a, b) == (2, 3):
                 with pytest.raises(AssertionError, match="11 expanded"):
                     check_prop4(a, b)
@@ -447,7 +447,7 @@ class TestProp5:
         # the exact route the checker takes and the literal geometric-kernel
         # sum of the display (tests/oracles.py): the coefficient of q^i on
         # the right is the gap count of class a*i mod b
-        for a, b in coprime_pairs(20, amin=1):
+        for a, b in coprime_pairs(20, 1):
             assert check_prop5(a, b).verdict == "pass"
             counts = torus_semigroup(a, b).class_counts(b)
             for q0 in (0.31, 0.57, 0.83):
@@ -476,11 +476,11 @@ class TestGapValues:
             raise AssertionError("gap polynomial evaluated term by term")
 
         monkeypatch.setattr(LaurentPoly, "eval_root_of_unity", literal)
-        for a, b in coprime_pairs(SuiteRanges().pairs_max):
+        for a, b in coprime_pairs(SuiteRanges().pairs_max, 2):
             assert passes(check_gap_values(a, b)), (a, b)
 
     def test_regrouped_values_match_literal_evaluation(self):
-        for a, b in coprime_pairs(40, amin=1):
+        for a, b in coprime_pairs(40, 1):
             C = torus_semigroup(a, b).gap_poly()
             for k, value in enumerate(_gap_root_values(a, b)):
                 literal = C.eval_root_of_unity(b, k)
@@ -495,13 +495,13 @@ class TestProp6:
 
     def test_exact_route(self):
         # the display's right side as exact class counts (tests/oracles.py)
-        for a, b in coprime_pairs(20, amin=1):
+        for a, b in coprime_pairs(20, 1):
             assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1), (a, b)
 
     def test_modes_agree(self):
         # the float route the checker takes passes where the exact
         # class-count form (tests/oracles.py) holds
-        for a, b in coprime_pairs(15):
+        for a, b in coprime_pairs(15, 2):
             assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1)
             assert check_prop6(a, b).verdict == "pass"
 
@@ -526,11 +526,11 @@ class TestProp7:
 
 class TestExtraChecks:
     def test_cor510(self):
-        for a, b in coprime_pairs(12):
+        for a, b in coprime_pairs(12, 2):
             assert check_cor510(a, b).verdict == "pass"
 
     def test_sawtooth_poly(self):
-        for a, b in coprime_pairs(12):
+        for a, b in coprime_pairs(12, 2):
             assert check_sawtooth_poly(a, b).verdict == "pass"
 
     @pytest.mark.parametrize("coeff", [Fraction(1, 5), Fraction(2, 15)], ids=["off-by-1/(2b)", "denominator-3b"])
@@ -564,7 +564,7 @@ class TestSuite:
         monkeypatch.setattr(sdlab.identities, "CATALOG", sdlab.identities.CATALOG[::-1])
         assert reports_to_json(run_suite(self.small_ranges(), seed=0)) == forward
         monkeypatch.undo()
-        monkeypatch.setattr(sdlab.identities, "coprime_pairs", lambda bmax: coprime_pairs(bmax)[::-1])
+        monkeypatch.setattr(sdlab.identities, "coprime_pairs", lambda bmax: coprime_pairs(bmax, 2)[::-1])
         assert reports_to_json(run_suite(self.small_ranges(), seed=0)) == forward
 
     def test_empty_ranges(self):
@@ -618,6 +618,28 @@ class TestSuite:
                 assert r.residual == 0.0
 
 
+class TestTimings:
+    def test_shared_work_is_timed(self, monkeypatch):
+        # a pair's root values are built inside check_gap_values but after its
+        # k = 0 report; run_suite charges the whole call to the pair's reports
+        original = sdlab.identities._gap_root_values
+
+        def slow(a, b):
+            time.sleep(0.021)
+            return original(a, b)
+
+        monkeypatch.setattr(sdlab.identities, "_gap_root_values", slow)
+        reports = run_suite(SuiteRanges(pairs_max=5, semigroups=0, identities=("gapvalues",)), seed=0)
+        per_pair = Counter()
+        for r in reports:
+            per_pair[r.params["a"], r.params["b"]] += r.elapsed_ms
+        assert sorted(per_pair) == sorted(coprime_pairs(5, 2))
+        assert min(per_pair.values()) >= 20
+
+    def test_checker_alone_reports_no_time(self):
+        assert check_prop2(3, 5, 1, 1).elapsed_ms == 0.0
+
+
 class TestCatalog:
     def test_readme_table_mirrors_catalog(self):
         lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
@@ -640,13 +662,13 @@ class TestCatalog:
 
         monkeypatch.setattr(sdlab.identities, "check_prop6", counting)
         reports = run_suite(SuiteRanges(pairs_max=6, semigroups=0, identities=("prop6",)), seed=0)
-        assert len(calls) == len(reports) == len(coprime_pairs(6))
+        assert len(calls) == len(reports) == len(coprime_pairs(6, 2))
 
     def test_prop2_row_stays_under_ceilings(self, monkeypatch):
         (row,) = [row for row in CATALOG if row.ids == ("prop2",)]
         calls = []
         monkeypatch.setattr(sdlab.identities, "check_prop2", lambda *args: calls.append(args))
-        for a, b in coprime_pairs(100):
+        for a, b in coprime_pairs(100, 2):
             list(row.pair(a, b))
         # n = 1 reaches every b, n >= 2 stops at PROP2_B_MAX
         assert {b for _, b, _, n in calls if n == 1} == set(range(3, 101))

@@ -18,10 +18,9 @@ from sdlab.polyring import (
 )
 from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
-from sdlab.identities import coprime_pairs
 from sdlab.semigroup import alexander_closed_form, torus_semigroup
 
-from oracles import literal_class_avg, pair_gaps
+from oracles import coprime_pairs, literal_class_avg, pair_gaps
 
 
 def random_poly(rng, max_terms=8, lo=-6, hi=12, cmax=9):
@@ -197,7 +196,7 @@ class TestConstructorGuards:
         assert p.support() == [0, 1, 3]
 
     def test_unchecked_builders_equal_validated_forms(self):
-        for a, b in coprime_pairs(20, amin=1):
+        for a, b in coprime_pairs(20, 1):
             S = torus_semigroup(a, b)
             n = a * b
             built = [
