@@ -299,14 +299,18 @@ def torus_gaps_mordell(a: int, b: int) -> list[int]:
 
 def alexander_closed_form(a: int, b: int) -> LaurentPoly:
     """Alexander polynomial of the (a, b) torus knot:
-    (1 - q^{ab})(1 - q) / ((1 - q^a)(1 - q^b)), computed by exact division.
+    (1 - q^{ab})(1 - q) / ((1 - q^a)(1 - q^b)).
 
-    Its degree is twice the genus (a - 1)(b - 1)/2, and a genus above
-    SIZE_MAX is refused with TooLarge before any work."""
+    With m, n = sorted((a, b)), (1 - q^{mn})/(1 - q^n) is the geometric sum of
+    the m unit terms q^{n*i}, i < m, built directly; its product with 1 - q
+    is divided exactly by 1 - q^m, the one division.  Its degree is twice the
+    genus (a - 1)(b - 1)/2, and a genus above SIZE_MAX is refused with
+    TooLarge before any work."""
     require_coprime(a, b)
     _bound((a - 1) * (b - 1) // 2, "genus")
-    num = (ONE - monomial(a * b)) * (ONE - monomial(1))
+    m, n = sorted((a, b))
+    num = LaurentPoly._raw(dict.fromkeys(range(0, m * n, n), 1)) * (ONE - monomial(1))
     try:
-        return num.divexact(ONE - monomial(a)).divexact(ONE - monomial(b))
+        return num.divexact(ONE - monomial(m))
     except InexactDivision as exc:  # pragma: no cover - would be a bug
         raise InexactDivision(f"closed form must divide exactly for coprime ({a}, {b})") from exc

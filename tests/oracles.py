@@ -190,6 +190,29 @@ def prop2_composition_sums(a: int, b: int, n: int, kernels) -> list:
     return [total / b**n for total in totals]
 
 
+def long_division(num: dict, den: dict):
+    """num / den for {exponent: coeff} dicts by plain long division, top down:
+    the quotient dict, its terms in the order they were found, or None when a
+    remainder is left.  Each quotient coefficient is c * lead under a lead of
+    1 or -1 and Fraction(c) / lead otherwise; the remainder is a dict from
+    which an entry that cancels is dropped."""
+    top = max(den)
+    lead, rem, quo = den[top], dict(num), {}
+    if not num:
+        return quo
+    hi, lo = max(num), min(num) - min(den) + top
+    for e in range(hi, lo - 1, -1):
+        c = rem.pop(e, 0)
+        if c:
+            c = quo[e - top] = c * lead if lead in (1, -1) else Fraction(c) / lead
+            for k, d in den.items():
+                if k != top:
+                    s = rem.pop(e + k - top, 0) - c * d
+                    if s:
+                        rem[e + k - top] = s
+    return None if rem else quo
+
+
 def rt_product_route(kind: str, m: int, n: int, a: int, b: int) -> BiLaurent:
     """R_{m,n} or T_{m,n} as the sum over k of one BiLaurent product per k.
 

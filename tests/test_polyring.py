@@ -20,7 +20,7 @@ from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
 from sdlab.semigroup import alexander_closed_form, torus_semigroup
 
-from oracles import coprime_pairs, literal_class_avg, pair_gaps
+from oracles import coprime_pairs, literal_class_avg, long_division, pair_gaps
 
 
 def random_poly(rng, max_terms=8, lo=-6, hi=12, cmax=9):
@@ -414,6 +414,62 @@ class TestDivision:
         with pytest.raises(InexactDivision):
             (3 * q**2 + 1).divexact(g)
 
+    def test_zero_dividend(self):
+        q = monomial(1)
+        assert ZERO.divexact(q + 1) == ZERO
+        assert ZERO.divexact(monomial(-3, 2)) == ZERO
+        assert ZERO.divexact(5) == ZERO
+
+    def test_zero_divisor_raises(self):
+        q = monomial(1)
+        for zero in (ZERO, 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                (q + 1).divexact(zero)
+        with pytest.raises(ZeroDivisionError):
+            ZERO.divexact(0)
+
+    def test_scalar_divisor_is_a_constant(self):
+        q = monomial(1)
+        half = (q + 1).divexact(2)
+        assert list(half._terms.items()) == [(1, Fraction(1, 2)), (0, Fraction(1, 2))]
+        assert all(type(c) is Fraction for c in half._terms.values())
+        assert (q + 1).divexact(2) == (q + 1).divexact(2 * ONE)
+        assert (q - 3).divexact(Fraction(1, 3)) == 3 * q - 9
+        negated = (q - 3).divexact(-1)
+        assert negated == 3 - q and all(type(c) is int for c in negated._terms.values())
+
+    def test_wrong_divisor_type_raises(self):
+        q = monomial(1)
+        for bad in (1.5, 2.0, "x", None, 1j, BiLaurent({(0, 0): 1})):
+            with pytest.raises(TypeError):
+                (q + 1).divexact(bad)
+
+    def test_dividend_narrower_than_divisor(self):
+        q = monomial(1)
+        with pytest.raises(InexactDivision, match="quotient would not be a polynomial"):
+            (q + 1).divexact(q**3 + 1)
+        with pytest.raises(InexactDivision, match="quotient would not be a polynomial"):
+            monomial(5).divexact(monomial(4) - monomial(2))
+
+    def test_monomial_divisor(self):
+        f = LaurentPoly({-2: 1, 5: Fraction(3, 4), 9: -7})
+        assert f.divexact(monomial(-4)) == f.shift(4)
+        assert f.divexact(monomial(3, -1)) == -f.shift(-3)
+        assert f.divexact(monomial(0, 2)) == LaurentPoly({-2: Fraction(1, 2), 5: Fraction(3, 8), 9: Fraction(-7, 2)})
+
+    def test_long_geometric_quotient(self):
+        # a quotient of 10**5 unit terms, whose divisor has width 1: hundreds of chunks
+        assert (monomial(10**5) - ONE).divexact(monomial(1) - ONE) == geom_sum(10**5)
+
+    def test_cancelled_remainder_restarts_as_int(self):
+        # under a unit lead, the remainder at q^0 cancels to 0 after its Fraction
+        # terms; the int term added after it leaves an int quotient coefficient
+        g = LaurentPoly({0: Fraction(1, 2), 1: 1, 2: 1})
+        num = LaurentPoly({2: Fraction(1, 2), 3: 2, 4: 1, 1: Fraction(-1, 2), 0: Fraction(-1, 2)})
+        quotient = num.divexact(g)
+        assert list(quotient._terms.items()) == [(2, 1), (1, 1), (0, -1)]
+        assert [type(c) for c in quotient._terms.values()] == [int, int, int]
+
 
 COEFF = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=6)).filter(bool)
 SPARSE = st.dictionaries(st.integers(-40, 40), COEFF, max_size=6).map(LaurentPoly)
@@ -426,6 +482,18 @@ def divisors(draw):
     rest = draw(SPARSE)
     top = draw(st.integers(-40, 40)) if rest.is_zero() else rest.degree() + draw(st.integers(1, 30))
     return rest + monomial(top, draw(LEAD))
+
+
+WIDE = st.dictionaries(st.integers(-1500, 1500), COEFF, max_size=8).map(LaurentPoly)
+
+
+@st.composite
+def wide_divisors(draw):
+    """A divisor of width 0, 1 or 2, or up to 40: its lowest and leading terms that far apart, up to three between."""
+    width = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40)))
+    low = draw(st.integers(-20, 20))
+    inner = draw(st.dictionaries(st.integers(low + 1, low + width - 1), COEFF, max_size=3)) if width > 1 else {}
+    return LaurentPoly({**inner, low: draw(COEFF), low + width: draw(LEAD)})
 
 
 BISPARSE = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), COEFF, max_size=6).map(BiLaurent)
@@ -469,6 +537,28 @@ class TestDivisionProperties:
                 g = g + monomial(g.valuation() - 1)
         with pytest.raises(InexactDivision):
             (f * g + r).divexact(g)
+
+
+class TestDivisionAgainstOracle:
+    @settings(deadline=None)
+    @given(
+        num=st.one_of(WIDE, st.tuples(WIDE, st.one_of(st.just(ZERO), WIDE))),
+        g=wide_divisors(),
+    )
+    def test_matches_long_division(self, num, g):
+        # an arbitrary dividend, or a product f * g plus an arbitrary r (maybe 0),
+        # over spans of up to a few thousand exponents: many chunk boundaries
+        if isinstance(num, tuple):
+            f, r = num
+            num = f * g + r
+        expected = long_division(dict(num._terms), dict(g._terms))
+        if expected is None:
+            with pytest.raises(InexactDivision):
+                num.divexact(g)
+        else:
+            quotient = num.divexact(g)
+            assert list(quotient._terms.items()) == list(expected.items())
+            assert [type(c) for c in quotient._terms.values()] == [type(c) for c in expected.values()]
 
 
 class TestSerialization:

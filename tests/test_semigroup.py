@@ -187,6 +187,14 @@ class TestClosedForms:
             n = a * b
             assert (ONE - monomial(1)) * S.hilbert_trunc(n) + monomial(n + 1) == alexander_closed_form(a, b)
 
+    def test_alexander_either_order_against_gaps(self):
+        # one division by 1 - q^min(a, b), whichever order the pair comes in
+        for a, b in ((2, 1001), (1001, 2), (101, 103), (103, 101)):
+            delta = alexander_closed_form(a, b)
+            assert delta == alexander_closed_form(b, a)
+            assert delta == ONE - (ONE - monomial(1)) * torus_semigroup(a, b).gap_poly()
+            assert all(type(c) is int for _, c in delta.items())
+
     def test_genus_closed_form(self):
         for a, b in ((2, 3), (3, 5), (5, 8), (7, 10)):
             assert torus_semigroup(a, b).genus == (a - 1) * (b - 1) // 2
