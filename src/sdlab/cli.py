@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 # size, is refused with one `error:` line (exit 2) before any work.  They
 # bound time: `verify` checks grow with the square of --member-max, a --d-max
 # check scans 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
-# limit takes seconds (--pairs-max 58: under a minute); the sizes multiply.
+# limit takes seconds (--pairs-max 58: 4-5 s on a 2-core Intel Xeon); the sizes multiply.
 # A `table` row costs two integer sums over k < b: --pairs-max 100 takes well under a second.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max
@@ -47,10 +46,6 @@ def _size(value: int, flag: str, limit: int) -> None:
     if value < 0:
         raise ValueError(f"{flag} {value} < 0")
     _bound(value, flag, limit)
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -135,16 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _poly_payload(p, fmt: str):
-    return {"terms": p.to_terms()} if fmt == "json" else str(p)
+    """The text form of p, or for JSON its terms [[*exponents, "num/den"], ...], keys ascending."""
+    if fmt != "json":
+        return str(p)
+    return {"terms": [[*(key if isinstance(key, tuple) else (key,)), f"{c.numerator}/{c.denominator}"]
+                      for key, c in p.items()]}
 
 
-def _print_kv_csv(out: dict) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in out.items():
-        writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
-    sys.stdout.write(buf.getvalue())
+def _emit(out: dict, lines: list[str], fmt: str) -> None:
+    """Print a finished result: `out` as JSON or as key,value CSV rows, or `lines` as text."""
+    if fmt == "json":
+        print(json.dumps(out, indent=2, sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        for key, value in out.items():
+            writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
+    else:
+        print("\n".join(lines))
 
 
 def cmd_semigroup(args) -> int:
@@ -156,37 +159,28 @@ def cmd_semigroup(args) -> int:
         S = NumericalSemigroup.from_generators(args.gens)
 
     out = S.to_dict()
+    lines = [
+        f"generators: {', '.join(map(str, S.generators))}",
+        f"genus: {S.genus}",
+        f"frobenius: {S.frobenius}",
+        f"gaps: {', '.join(map(str, S.gaps)) if S.gaps else '(none)'}",
+    ]
     if args.apery is not None:
         out["apery"] = {"s": args.apery, "elements": list(S.apery(args.apery))}
+        lines.append(f"apery({args.apery}): {', '.join(map(str, out['apery']['elements']))}")
     if args.gap_poly:
         out["gap_poly"] = _poly_payload(S.gap_poly(), args.format)
+        lines.append(f"gap_poly: {out['gap_poly']}")
     if args.semigroup_poly:
         out["semigroup_poly"] = _poly_payload(S.semigroup_poly(), args.format)
+        lines.append(f"semigroup_poly: {out['semigroup_poly']}")
     if args.hilbert is not None:
         out["hilbert"] = _poly_payload(S.hilbert_trunc(args.hilbert), args.format)
+        lines.append(f"hilbert(<= {args.hilbert}): {out['hilbert']}")
     if args.quotient is not None:
-        out["quotient"] = {"d": args.quotient, **S.quotient(args.quotient).to_dict()}
-
-    if args.format == "json":
-        print(json.dumps(out, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        _print_kv_csv(out)
-    else:
-        print(f"generators: {', '.join(map(str, S.generators))}")
-        print(f"genus: {S.genus}")
-        print(f"frobenius: {S.frobenius}")
-        print(f"gaps: {', '.join(map(str, S.gaps)) if S.gaps else '(none)'}")
-        if args.apery is not None:
-            print(f"apery({args.apery}): {', '.join(map(str, out['apery']['elements']))}")
-        if args.gap_poly:
-            print(f"gap_poly: {out['gap_poly']}")
-        if args.semigroup_poly:
-            print(f"semigroup_poly: {out['semigroup_poly']}")
-        if args.hilbert is not None:
-            print(f"hilbert(<= {args.hilbert}): {out['hilbert']}")
-        if args.quotient is not None:
-            q = out["quotient"]
-            print(f"S/{q['d']}: genus {q['genus']}, frobenius {q['frobenius']}, gaps {q['gaps']}")
+        q = out["quotient"] = {"d": args.quotient, **S.quotient(args.quotient).to_dict()}
+        lines.append(f"S/{q['d']}: genus {q['genus']}, frobenius {q['frobenius']}, gaps {q['gaps']}")
+    _emit(out, lines, args.format)
     return 0
 
 
@@ -200,45 +194,33 @@ def cmd_dedekind(args) -> int:
     wants_nothing = not (args.sum or args.voronoi or args.carlitz or args.zolotarev
                          or args.sawtooth_poly or args.floor_sum)
     out = {"a": a, "b": b}
+    lines = []
     if args.sum or wants_nothing:
-        out["dedekind_sum"] = {
+        s = out["dedekind_sum"] = {
             "sawtooth": str(dedekind_sum(a, b, "sawtooth")),
             "voronoi": str(dedekind_sum(a, b, "voronoi")),
-            "cotangent": _fmt_float(dedekind_sum(a, b, "cotangent")),
+            "cotangent": f"{dedekind_sum(a, b, 'cotangent'):.12g}",
         }
+        lines.append(f"s({a}, {b}) = {s['sawtooth']} [sawtooth] = {s['voronoi']} [voronoi] ~ {s['cotangent']} [cotangent]")
     if args.voronoi:
         m, n = args.voronoi
         out["voronoi"] = {"m": m, "n": n, "value": voronoi_sum(a, b, m, n)}
+        lines.append(f"V_{{{m},{n}}}({a}, {b}) = {out['voronoi']['value']}")
     if args.carlitz:
         out["carlitz"] = _poly_payload(carlitz_poly(a, b), args.format)
+        lines.append(f"c(q, t; {a}, {b}) = {out['carlitz']}")
     if args.zolotarev:
         out["zolotarev"] = list(zolotarev(a, b))
+        lines.append(f"zolotarev: {out['zolotarev']}")
     if args.sawtooth_poly:
         out["sawtooth_poly"] = _poly_payload(carlitz_sawtooth_poly(a, b), args.format)
+        lines.append(f"sawtooth_poly: {out['sawtooth_poly']}")
     if args.floor_sum:
         lhs, rhs = carlitz_floor_sum(a, b)
         out["floor_sum"] = {"lhs": _poly_payload(lhs, args.format), "rhs": _poly_payload(rhs, args.format)}
-
-    if args.format == "json":
-        print(json.dumps(out, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        _print_kv_csv(out)
-    else:
-        if "dedekind_sum" in out:
-            s = out["dedekind_sum"]
-            print(f"s({a}, {b}) = {s['sawtooth']} [sawtooth] = {s['voronoi']} [voronoi] ~ {s['cotangent']} [cotangent]")
-        if "voronoi" in out:
-            v = out["voronoi"]
-            print(f"V_{{{v['m']},{v['n']}}}({a}, {b}) = {v['value']}")
-        if "carlitz" in out:
-            print(f"c(q, t; {a}, {b}) = {out['carlitz']}")
-        if "zolotarev" in out:
-            print(f"zolotarev: {out['zolotarev']}")
-        if "sawtooth_poly" in out:
-            print(f"sawtooth_poly: {out['sawtooth_poly']}")
-        if "floor_sum" in out:
-            print(f"floor_sum lhs: {out['floor_sum']['lhs']}")
-            print(f"floor_sum rhs: {out['floor_sum']['rhs']}")
+        lines.append(f"floor_sum lhs: {out['floor_sum']['lhs']}")
+        lines.append(f"floor_sum rhs: {out['floor_sum']['rhs']}")
+    _emit(out, lines, args.format)
     return 0
 
 
@@ -305,8 +287,8 @@ def _table_text(pairs_max: int, fmt: str) -> str:
         )
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    lines = ["a,b,genus,frobenius,dedekind_sum,v11"]
-    lines.extend(f"{r['a']},{r['b']},{r['genus']},{r['frobenius']},{r['dedekind_sum']},{r['v11']}" for r in rows)
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(map(str, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -441,6 +441,11 @@ def check_prop6(a: int, b: int) -> IdentityReport:
 # -- section 6: quotient semigroups ------------------------------------------------
 
 
+def _prop7_svals(S: NumericalSemigroup, d: int) -> list[int]:
+    """The s <= 20 with d*s in S: the Apery moduli a prop7 check uses."""
+    return [s for s in range(1, 21) if S.contains(d * s)]
+
+
 def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
     """g(S/d) three ways: brute-force quotient genus, multisection count of the
     gaps divisible by d, and the Apery floor sum for every valid s <= 20."""
@@ -448,7 +453,7 @@ def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
         raise ValueError("d must be >= 1")
     quotient = S.quotient(d)
     g = quotient.genus
-    svals = [s for s in range(1, 21) if S.contains(d * s)]
+    svals = _prop7_svals(S, d)
     if not svals:
         raise ValueError("no nonzero s <= 20 in S/d")
     ok = S.genus_quotient_trig(d) == g and all(S.genus_quotient_apery(d, s) == g for s in svals)
@@ -568,7 +573,7 @@ CATALOG = (
                pair=lambda a, b: (check_prop6(a, b),)),
     CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force",
                semigroup=lambda S, r: (check_prop7(S, d) for d in range(1, r.d_max + 1)
-                                       if any(S.contains(d * s) for s in range(1, 21)))),
+                                       if _prop7_svals(S, d))),
     CatalogRow(("cor510",), "floor-sum polynomial identity swapping the roles of a and b",
                pair=lambda a, b: (check_cor510(a, b),)),
     CatalogRow(("sawtoothpoly",), "sawtooth generating polynomial vs its rational closed form",

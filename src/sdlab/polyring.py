@@ -304,12 +304,6 @@ class LaurentPoly(_Sparse):
             raise InexactDivision("nonzero remainder")
         return LaurentPoly._raw(quo)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_terms(self) -> list:
-        """JSON-ready term list [[exponent, "num/den"], ...], exponents ascending."""
-        return [[e, f"{c.numerator}/{c.denominator}"] for e, c in self.items()]
-
 
 def _render(items) -> str:
     if not items:
@@ -404,10 +398,6 @@ class BiLaurent(_Sparse):
         qpow = {e: qv**e for e in {eq for eq, _ in self._terms}}
         tpow = {e: tv**e for e in {et for _, et in self._terms}}
         return sum(c * qpow[eq] * tpow[et] for (eq, et), c in self._terms.items())
-
-    def to_terms(self) -> list:
-        """JSON-ready term list [[q-exponent, t-exponent, "num/den"], ...], keys ascending."""
-        return [[eq, et, f"{c.numerator}/{c.denominator}"] for (eq, et), c in self.items()]
 
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:

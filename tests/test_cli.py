@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -13,9 +14,11 @@ from sdlab.cli import (
     SEMIGROUPS_MAX,
     TABLE_PAIRS_MAX,
     VORONOI_EXP_MAX,
+    _poly_payload,
     main,
 )
 from sdlab.identities import IDENTITY_IDS, SuiteRanges, reports_to_json, run_suite
+from sdlab.polyring import BiLaurent, LaurentPoly
 from sdlab.semigroup import SIZE_MAX
 
 
@@ -377,6 +380,431 @@ class TestTableCommand:
         missing = tmp_path / "missing" / "table.csv"
         code, out, err = run_cli(capsys, "table", "--out", str(missing))
         assert_one_line_error(code, out, err, str(missing))
+
+
+# -- exact output: every byte of one full run per command and format ---------------
+
+SEMIGROUP_ARGV = ["semigroup", "--pair", "3,5", "--apery", "5", "--gap-poly", "--semigroup-poly", "--hilbert", "9",
+                  "--quotient", "2"]
+DEDEKIND_ARGV = ["dedekind", "3", "5", "--sum", "--voronoi", "2", "1", "--carlitz", "--zolotarev", "--sawtooth-poly",
+                 "--floor-sum"]
+
+SEMIGROUP_TEXT = """\
+generators: 3, 5
+genus: 4
+frobenius: 7
+gaps: 1, 2, 4, 7
+apery(5): 0, 6, 12, 3, 9
+gap_poly: q + q^2 + q^4 + q^7
+semigroup_poly: 1 - q + q^3 - q^4 + q^5 - q^7 + q^8
+hilbert(<= 9): 1 + q^3 + q^5 + q^6 + q^8 + q^9
+S/2: genus 2, frobenius 2, gaps [1, 2]
+"""
+
+SEMIGROUP_JSON = """\
+{
+  "apery": {
+    "elements": [
+      0,
+      6,
+      12,
+      3,
+      9
+    ],
+    "s": 5
+  },
+  "frobenius": 7,
+  "gap_poly": {
+    "terms": [
+      [
+        1,
+        "1/1"
+      ],
+      [
+        2,
+        "1/1"
+      ],
+      [
+        4,
+        "1/1"
+      ],
+      [
+        7,
+        "1/1"
+      ]
+    ]
+  },
+  "gaps": [
+    1,
+    2,
+    4,
+    7
+  ],
+  "generators": [
+    3,
+    5
+  ],
+  "genus": 4,
+  "hilbert": {
+    "terms": [
+      [
+        0,
+        "1/1"
+      ],
+      [
+        3,
+        "1/1"
+      ],
+      [
+        5,
+        "1/1"
+      ],
+      [
+        6,
+        "1/1"
+      ],
+      [
+        8,
+        "1/1"
+      ],
+      [
+        9,
+        "1/1"
+      ]
+    ]
+  },
+  "quotient": {
+    "d": 2,
+    "frobenius": 2,
+    "gaps": [
+      1,
+      2
+    ],
+    "generators": [
+      3,
+      4,
+      5,
+      6
+    ],
+    "genus": 2
+  },
+  "semigroup_poly": {
+    "terms": [
+      [
+        0,
+        "1/1"
+      ],
+      [
+        1,
+        "-1/1"
+      ],
+      [
+        3,
+        "1/1"
+      ],
+      [
+        4,
+        "-1/1"
+      ],
+      [
+        5,
+        "1/1"
+      ],
+      [
+        7,
+        "-1/1"
+      ],
+      [
+        8,
+        "1/1"
+      ]
+    ]
+  }
+}
+"""
+
+SEMIGROUP_CSV = """\
+key,value
+generators,"[3, 5]"
+frobenius,7
+genus,4
+gaps,"[1, 2, 4, 7]"
+apery,"{""s"": 5, ""elements"": [0, 6, 12, 3, 9]}"
+gap_poly,q + q^2 + q^4 + q^7
+semigroup_poly,1 - q + q^3 - q^4 + q^5 - q^7 + q^8
+hilbert,1 + q^3 + q^5 + q^6 + q^8 + q^9
+quotient,"{""d"": 2, ""generators"": [3, 4, 5, 6], ""frobenius"": 2, ""genus"": 2, ""gaps"": [1, 2]}"
+"""
+
+DEDEKIND_TEXT = """\
+s(3, 5) = 0 [sawtooth] = 0 [voronoi] ~ -1.94289029309e-17 [cotangent]
+V_{2,1}(3, 5) = 45
+c(q, t; 3, 5) = 1 + q*t + q*t^2 + q^2*t^3
+zolotarev: [0, 3, 1, 4, 2]
+sawtooth_poly: -1/2 + 1/10*q - 3/10*q^2 + 3/10*q^3 - 1/10*q^4
+floor_sum lhs: 1 + 2*q + q^2
+floor_sum rhs: 1 + 2*q + q^2
+"""
+
+DEDEKIND_JSON = """\
+{
+  "a": 3,
+  "b": 5,
+  "carlitz": {
+    "terms": [
+      [
+        0,
+        0,
+        "1/1"
+      ],
+      [
+        1,
+        1,
+        "1/1"
+      ],
+      [
+        1,
+        2,
+        "1/1"
+      ],
+      [
+        2,
+        3,
+        "1/1"
+      ]
+    ]
+  },
+  "dedekind_sum": {
+    "cotangent": "-1.94289029309e-17",
+    "sawtooth": "0",
+    "voronoi": "0"
+  },
+  "floor_sum": {
+    "lhs": {
+      "terms": [
+        [
+          0,
+          "1/1"
+        ],
+        [
+          1,
+          "2/1"
+        ],
+        [
+          2,
+          "1/1"
+        ]
+      ]
+    },
+    "rhs": {
+      "terms": [
+        [
+          0,
+          "1/1"
+        ],
+        [
+          1,
+          "2/1"
+        ],
+        [
+          2,
+          "1/1"
+        ]
+      ]
+    }
+  },
+  "sawtooth_poly": {
+    "terms": [
+      [
+        0,
+        "-1/2"
+      ],
+      [
+        1,
+        "1/10"
+      ],
+      [
+        2,
+        "-3/10"
+      ],
+      [
+        3,
+        "3/10"
+      ],
+      [
+        4,
+        "-1/10"
+      ]
+    ]
+  },
+  "voronoi": {
+    "m": 2,
+    "n": 1,
+    "value": 45
+  },
+  "zolotarev": [
+    0,
+    3,
+    1,
+    4,
+    2
+  ]
+}
+"""
+
+DEDEKIND_CSV = """\
+key,value
+a,3
+b,5
+dedekind_sum,"{""sawtooth"": ""0"", ""voronoi"": ""0"", ""cotangent"": ""-1.94289029309e-17""}"
+voronoi,"{""m"": 2, ""n"": 1, ""value"": 45}"
+carlitz,1 + q*t + q*t^2 + q^2*t^3
+zolotarev,"[0, 3, 1, 4, 2]"
+sawtooth_poly,-1/2 + 1/10*q - 3/10*q^2 + 3/10*q^3 - 1/10*q^4
+floor_sum,"{""lhs"": ""1 + 2*q + q^2"", ""rhs"": ""1 + 2*q + q^2""}"
+"""
+
+DEDEKIND_DEFAULT = """\
+s(3, 5) = 0 [sawtooth] = 0 [voronoi] ~ -1.94289029309e-17 [cotangent]
+"""
+
+TABLE_CSV = """\
+a,b,genus,frobenius,dedekind_sum,v11
+2,3,1,1,-1/18,2
+3,4,3,5,-1/8,8
+2,5,2,3,0,7
+3,5,4,7,0,13
+4,5,6,11,-1/5,20
+5,6,10,19,-5/18,40
+2,7,3,5,1/14,15
+3,7,6,11,-1/14,29
+4,7,9,17,1/14,41
+5,7,12,23,-1/14,55
+6,7,15,29,-5/14,70
+"""
+
+TABLE_JSON = """\
+[
+  {
+    "a": 2,
+    "b": 3,
+    "dedekind_sum": "-1/18",
+    "frobenius": 1,
+    "genus": 1,
+    "v11": 2
+  },
+  {
+    "a": 3,
+    "b": 4,
+    "dedekind_sum": "-1/8",
+    "frobenius": 5,
+    "genus": 3,
+    "v11": 8
+  },
+  {
+    "a": 2,
+    "b": 5,
+    "dedekind_sum": "0",
+    "frobenius": 3,
+    "genus": 2,
+    "v11": 7
+  },
+  {
+    "a": 3,
+    "b": 5,
+    "dedekind_sum": "0",
+    "frobenius": 7,
+    "genus": 4,
+    "v11": 13
+  },
+  {
+    "a": 4,
+    "b": 5,
+    "dedekind_sum": "-1/5",
+    "frobenius": 11,
+    "genus": 6,
+    "v11": 20
+  },
+  {
+    "a": 5,
+    "b": 6,
+    "dedekind_sum": "-5/18",
+    "frobenius": 19,
+    "genus": 10,
+    "v11": 40
+  },
+  {
+    "a": 2,
+    "b": 7,
+    "dedekind_sum": "1/14",
+    "frobenius": 5,
+    "genus": 3,
+    "v11": 15
+  },
+  {
+    "a": 3,
+    "b": 7,
+    "dedekind_sum": "-1/14",
+    "frobenius": 11,
+    "genus": 6,
+    "v11": 29
+  },
+  {
+    "a": 4,
+    "b": 7,
+    "dedekind_sum": "1/14",
+    "frobenius": 17,
+    "genus": 9,
+    "v11": 41
+  },
+  {
+    "a": 5,
+    "b": 7,
+    "dedekind_sum": "-1/14",
+    "frobenius": 23,
+    "genus": 12,
+    "v11": 55
+  },
+  {
+    "a": 6,
+    "b": 7,
+    "dedekind_sum": "-5/14",
+    "frobenius": 29,
+    "genus": 15,
+    "v11": 70
+  }
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (SEMIGROUP_ARGV + ["--format", "text"], SEMIGROUP_TEXT),
+        (SEMIGROUP_ARGV + ["--format", "json"], SEMIGROUP_JSON),
+        (SEMIGROUP_ARGV + ["--format", "csv"], SEMIGROUP_CSV),
+        (DEDEKIND_ARGV + ["--format", "text"], DEDEKIND_TEXT),
+        (DEDEKIND_ARGV + ["--format", "json"], DEDEKIND_JSON),
+        (DEDEKIND_ARGV + ["--format", "csv"], DEDEKIND_CSV),
+        (["dedekind", "3", "5"], DEDEKIND_DEFAULT),
+        (["table", "--pairs-max", "7", "--format", "csv"], TABLE_CSV),
+        (["table", "--pairs-max", "7", "--format", "json"], TABLE_JSON),
+    ],
+    ids=["semigroup-text", "semigroup-json", "semigroup-csv", "dedekind-text", "dedekind-json", "dedekind-csv",
+         "dedekind-default", "table-csv", "table-json"],
+)
+def test_exact_output(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+class TestPolyPayload:
+    def test_terms_format(self):
+        f = LaurentPoly({2: Fraction(3, 4), -1: 2})
+        assert _poly_payload(f, "json") == {"terms": [[-1, "2/1"], [2, "3/4"]]}
+
+    def test_bivariate_roundtrip(self):
+        p = BiLaurent({(0, 0): 1, (2, 3): Fraction(-1, 2)})
+        assert _poly_payload(p, "json") == {"terms": [[0, 0, "1/1"], [2, 3, "-1/2"]]}
 
 
 # -- fuzzing main(argv) in-process ------------------------------------------------

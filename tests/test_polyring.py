@@ -561,16 +561,6 @@ class TestDivisionAgainstOracle:
             assert [type(c) for c in quotient._terms.values()] == [type(c) for c in expected.values()]
 
 
-class TestSerialization:
-    def test_terms_format(self):
-        f = LaurentPoly({2: Fraction(3, 4), -1: 2})
-        assert f.to_terms() == [[-1, "2/1"], [2, "3/4"]]
-
-    def test_bivariate_roundtrip(self):
-        p = BiLaurent({(0, 0): 1, (2, 3): Fraction(-1, 2)})
-        assert p.to_terms() == [[0, 0, "1/1"], [2, 3, "-1/2"]]
-
-
 class TestBiLaurent:
     def test_product_and_pow(self):
         q = bi_monomial(1, 0)
