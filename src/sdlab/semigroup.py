@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, count
 from math import gcd
 
-from .errors import EmptyGenerators, GcdNotOne, InexactDivision, NotAMember, TooLarge, require_coprime
+from .errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge, require_coprime
 from .polyring import ONE, LaurentPoly, monomial
 
 SIZE_MAX = 10**6  # largest least generator, Apery modulus, walked genus or member range; larger are refused before any work
@@ -302,15 +302,29 @@ def alexander_closed_form(a: int, b: int) -> LaurentPoly:
     (1 - q^{ab})(1 - q) / ((1 - q^a)(1 - q^b)).
 
     With m, n = sorted((a, b)), (1 - q^{mn})/(1 - q^n) is the geometric sum of
-    the m unit terms q^{n*i}, i < m, built directly; its product with 1 - q
-    is divided exactly by 1 - q^m, the one division.  Its degree is twice the
-    genus (a - 1)(b - 1)/2, and a genus above SIZE_MAX is refused with
-    TooLarge before any work."""
+    the unit terms q^{n*i}, i < m, so the dividend N = (1 - q) sum_{i<m} q^{n*i}
+    has a +1 at n*i and a -1 at n*i + 1 for each i < m.  Dividing by 1 - q^m is
+    multiplying by sum_j q^{j*m}: the quotient Q has Q[e] = N[e] + Q[e - m], a
+    running sum of N along each residue class mod m.  As gcd(m, n) = 1, both
+    i -> n*i mod m and i -> n*i + 1 mod m are bijections of Z/m, so each class
+    holds one +1 term of N, at lo, and one -1 term, at stop.  Along that class
+    Q is +1 on [lo, stop) when lo < stop, -1 on [stop, lo) otherwise, and 0
+    past both: the division is exact by construction, and Q is written one
+    range per class, O(m) steps.  Its degree is twice the genus
+    (a - 1)(b - 1)/2, and a genus above SIZE_MAX is refused with TooLarge
+    before any work."""
     require_coprime(a, b)
     _bound((a - 1) * (b - 1) // 2, "genus")
     m, n = sorted((a, b))
-    num = LaurentPoly._raw(dict.fromkeys(range(0, m * n, n), 1)) * (ONE - monomial(1))
-    try:
-        return num.divexact(ONE - monomial(m))
-    except InexactDivision as exc:  # pragma: no cover - would be a bug
-        raise InexactDivision(f"closed form must divide exactly for coprime ({a}, {b})") from exc
+    start = [0] * m  # start[c]: the +1 term of N in class c
+    for i in range(m):
+        start[n * i % m] = n * i
+    terms = {}
+    for i in range(m):
+        stop = n * i + 1
+        lo = start[stop % m]
+        if lo < stop:
+            terms.update(dict.fromkeys(range(lo, stop, m), 1))
+        else:
+            terms.update(dict.fromkeys(range(stop, lo, m), -1))
+    return LaurentPoly._raw(terms)

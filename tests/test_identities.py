@@ -290,6 +290,12 @@ class TestCountRoutesNotVacuous:
         reports = [r for r in check_prop1(S, 4) if r.identity_id == "prop1.eq3"]
         assert [r.params["k"] for r in reports if r.verdict == "fail"] == [2]
 
+    def test_prop1_eq2(self):
+        # the class-2 part of C_S is no longer the block of floor(a_2/4) terms
+        S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
+        reports = [r for r in check_prop1(S, 4) if r.identity_id == "prop1.eq2"]
+        assert [r.params["k"] for r in reports if r.verdict == "fail"] == [2]
+
     @pytest.fixture
     def broken_3_5(self, monkeypatch):
         # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
@@ -304,6 +310,10 @@ class TestCountRoutesNotVacuous:
 
     def test_prop1_eq5(self, broken_3_5):
         reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq5"]
+        assert [r.params["k"] for r in reports if r.verdict == "fail"] == [4]
+
+    def test_prop1_eq4(self, broken_3_5):
+        reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq4"]
         assert [r.params["k"] for r in reports if r.verdict == "fail"] == [4]
 
     def test_prop3(self, broken_3_5):
@@ -421,20 +431,30 @@ class TestProp4:
             assert count == len(t11), (a, b)
             assert value == pytest.approx(t11.evaluate(q0, t0), rel=1e-12, abs=0), (a, b)
 
-    def test_t11_expanded_only_when_counts_agree(self, monkeypatch):
-        # the counts agree at (2, 3) alone among the default pairs, so R11 and
-        # T11 are expanded there and valued and counted in O(b) elsewhere
-        def no_expansion(kind, *args):
-            raise AssertionError(f"{kind}11 expanded")
+    def test_t11_decided_by_term_counts(self):
+        # the verdict the counts give is the one of R11 and T11 expanded and
+        # compared reading by reading, j = 1..b-1; (2, 3) is the one default
+        # pair whose counts agree, and there reading 2 differs from T11
+        pairs = coprime_pairs(SuiteRanges().pairs_max, 1) + [(1, 1), (2, 1), (3, 2), (5, 2), (9, 2)]
+        for a, b in pairs:
+            display_base, t11 = rt_poly("R", 1, 1, a, b).scale_q(b), rt_poly("T", 1, 1, a, b)
+            all_match = all(display_base.shift(j, 0) == t11 for j in range(1, b))
+            _, t = check_prop4(a, b)
+            assert t.verdict == ("pass" if all_match else "expected-discrepancy"), (a, b)
 
-        monkeypatch.setattr(sdlab.identities, "rt_poly", no_expansion)
-        for a, b in coprime_pairs(SuiteRanges().pairs_max, 2):
-            if (a, b) == (2, 3):
-                with pytest.raises(AssertionError, match="11 expanded"):
-                    check_prop4(a, b)
-            else:
-                _, t = check_prop4(a, b)
-                assert t.verdict == "expected-discrepancy", (a, b)
+    @pytest.mark.parametrize(
+        "a, b, verdict",
+        [(3, 2, "pass"), (7, 2, "pass"), (1, 2, "pass"), (1, 7, "pass"), (1, 19, "pass"),
+         (2, 3, "expected-discrepancy")],
+    )
+    def test_t11_rule_pinned(self, a, b, verdict):
+        # b = 2: one reading, and the counts agree; a = 1: T11 = 0 and no term
+        # on either side; (2, 3): the counts agree, but b >= 3 and T11 != 0
+        q0, t0 = QT_SAMPLE
+        t11_count, display_count = _t11_sum(a, b, q0, t0)[1], _t11_display(a, b, q0, t0)[1]
+        assert t11_count == display_count
+        assert (t11_count == 0) == (a == 1)
+        assert check_prop4(a, b)[1].verdict == verdict
 
 
 class TestProp5:

@@ -389,9 +389,14 @@ class TestDivision:
         assert checked > 20
 
     def test_integer_quotient_stays_int(self):
-        # a divisor led by 1 or -1 multiplies instead of dividing
+        # a divisor led by 1 or -1 multiplies instead of dividing: the torus-knot
+        # dividend (1 - q) sum_{i<m} q^{n*i} over 1 - q^m, led by -1
         for a, b in [(2, 3), (3, 5), (7, 4), (11, 13), (29, 31)]:
-            assert all(type(c) is int for _, c in alexander_closed_form(a, b).items())
+            m, n = sorted((a, b))
+            num = (ONE - monomial(1)) * LaurentPoly(dict.fromkeys(range(0, m * n, n), 1))
+            quotient = num.divexact(ONE - monomial(m))
+            assert all(type(c) is int for _, c in quotient.items())
+            assert quotient == alexander_closed_form(a, b)
         rng = random.Random(11)
         for _ in range(100):
             f = LaurentPoly({rng.randint(-20, 20): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))})

@@ -16,7 +16,14 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import apery_by_definition, closure_gaps, closure_members, pair_gaps, quotient_by_definition
+from oracles import (
+    apery_by_definition,
+    closure_gaps,
+    closure_members,
+    long_division,
+    pair_gaps,
+    quotient_by_definition,
+)
 
 
 def random_generators(rng):
@@ -188,12 +195,27 @@ class TestClosedForms:
             assert (ONE - monomial(1)) * S.hilbert_trunc(n) + monomial(n + 1) == alexander_closed_form(a, b)
 
     def test_alexander_either_order_against_gaps(self):
-        # one division by 1 - q^min(a, b), whichever order the pair comes in
-        for a, b in ((2, 1001), (1001, 2), (101, 103), (103, 101)):
+        # one range per residue class mod min(a, b), whichever order the pair comes in
+        for a, b in ((2, 1001), (1001, 2), (101, 103), (103, 101), (1001, 1003)):
             delta = alexander_closed_form(a, b)
             assert delta == alexander_closed_form(b, a)
             assert delta == ONE - (ONE - monomial(1)) * torus_semigroup(a, b).gap_poly()
             assert all(type(c) is int for _, c in delta.items())
+            assert delta.degree() == (a - 1) * (b - 1)
+
+    def test_alexander_against_long_division_and_gaps(self):
+        # two routes that do not build the quotient class by class: plain long
+        # division of (1 - q) sum_{i<m} q^{n*i} by 1 - q^m, and the gap polynomial
+        pairs = [(a, b) for a in range(1, 41) for b in range(1, 41) if gcd(a, b) == 1]
+        assert (1, 1) in pairs and (1, 40) in pairs and (40, 1) in pairs
+        for a, b in pairs:
+            m, n = sorted((a, b))
+            num = {**{n * i: 1 for i in range(m)}, **{n * i + 1: -1 for i in range(m)}}
+            delta = alexander_closed_form(a, b)
+            assert delta == LaurentPoly(long_division(num, {0: 1, m: -1})), (a, b)
+            assert delta == ONE - (ONE - monomial(1)) * torus_semigroup(a, b).gap_poly(), (a, b)
+            assert all(type(c) is int for _, c in delta.items()), (a, b)
+            assert delta.degree() == (a - 1) * (b - 1), (a, b)
 
     def test_genus_closed_form(self):
         for a, b in ((2, 3), (3, 5), (5, 8), (7, 10)):
@@ -287,7 +309,7 @@ class TestSizeLimit:
                 listing()
 
     def test_alexander_past_the_limit(self, deadline):
-        # the degree is twice the genus, 4999950000 here; refused before the product
+        # the degree is twice the genus, 4999950000 here; refused before any term is written
         with pytest.raises(TooLarge, match="genus"):
             alexander_closed_form(100000, 100001)
         with pytest.raises(TooLarge, match="genus"):
