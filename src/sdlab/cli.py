@@ -226,17 +226,17 @@ def cmd_dedekind(args) -> int:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """A writer for the finished text, to stdout or to the --out file.  The file
-    is opened now, for appending, so that a bad path fails before any work; a
-    regular file is emptied only when the text is written, so that a refused
-    run leaves it as it was."""
+    """Yields start(), which returns the stream for the finished text: stdout or
+    the --out file.  The file is opened now, for appending, so that a bad path
+    fails before any work; a regular file is emptied only by start(), once the
+    text is ready to be written, so that a refused run leaves it as it was."""
     with open(path, "a", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        def write(text):
+        def start():
             if path and os.path.isfile(path):
                 fh.truncate(0)
-            fh.write(text)
+            return fh
 
-        yield write
+        yield start
 
 
 def cmd_verify(args) -> int:
@@ -246,13 +246,9 @@ def cmd_verify(args) -> int:
     _size(args.d_max, "--d-max", D_MAX_LIMIT)
     ranges = SuiteRanges(pairs_max=args.pairs_max, semigroups=args.semigroups, member_max=args.member_max,
                          d_max=args.d_max, identities=tuple(args.identity))
-    with _output(args.out) as write:
+    with _output(args.out) as start:
         reports = run_suite(ranges, seed=args.seed)
-        write(
-            reports_to_json(reports, include_timings=args.timings)
-            if args.format == "json"
-            else reports_to_csv(reports, include_timings=args.timings)
-        )
+        (reports_to_json if args.format == "json" else reports_to_csv)(reports, include_timings=args.timings, file=start())
     counts = summarize(reports)
     if reports:
         tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -266,8 +262,9 @@ def cmd_table(args) -> int:
     _size(args.pairs_max, "--pairs-max", TABLE_PAIRS_MAX)
     if args.pairs_max < 3:  # the first coprime pair is (2, 3)
         raise EmptyPlan(f"no pair to tabulate: --pairs-max {args.pairs_max} < 3")
-    with _output(args.out) as write:
-        write(_table_text(args.pairs_max, args.format))
+    with _output(args.out) as start:
+        text = _table_text(args.pairs_max, args.format)
+        start().write(text)
     return 0
 
 

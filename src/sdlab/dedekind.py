@@ -186,14 +186,14 @@ def carlitz_floor_sum(a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
     = (b-1) q^{a-1} - (q-1) * sum_{k=1}^{a-1} floor(bk/a) q^{k-1}."""
     require_coprime(a, b)
     lhs = LaurentPoly((a * k // b, 1) for k in range(1, b))
-    correction = LaurentPoly({k - 1: b * k // a for k in range(1, a)})
-    rhs = (b - 1) * monomial(a - 1) - (monomial(1) - 1) * correction
+    correction = LaurentPoly._raw({k - 1: fl for k in range(1, a) if (fl := b * k // a)})
+    rhs = monomial(a - 1, b - 1) - correction.shift(1) + correction
     return lhs, rhs
 
 
 def carlitz_sawtooth_poly(a: int, b: int) -> LaurentPoly:
     """sum_{k=0}^{b-1} (a*k/b - floor(a*k/b) - 1/2) q^k, exact rational coefficients.
 
-    The coefficient of q^k is (2*(a*k mod b) - b)/(2b), built as one Fraction."""
+    The coefficient of q^k is (2*(a*k mod b) - b)/(2b), one Fraction; at even b one is 0."""
     require_coprime(a, b)
-    return LaurentPoly({k: Fraction(2 * (a * k % b) - b, 2 * b) for k in range(b)})
+    return LaurentPoly._raw({k: Fraction(c, 2 * b) for k in range(b) if (c := 2 * (a * k % b) - b)})

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +47,6 @@ from .polyring import (
     from_t,
     geom_sum,
     monomial,
-    rational_eq,
     roots_of_unity,
 )
 from .semigroup import NumericalSemigroup, torus_semigroup
@@ -62,7 +62,7 @@ PROP2_B_MAX = 12
 PROP2_M_MAX = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     identity_id: str
     params: dict
@@ -121,20 +121,16 @@ def _gap_root_values(a: int, b: int) -> tuple:
 def check_eq1(a: int, b: int) -> IdentityReport:
     """Truncated Hilbert series of <a, b> against (1 - q^{ab}) / ((1-q^a)(1-q^b)).
 
-    The tail past degree N = ab (> Frobenius) is the full geometric series
-    q^{N+1}/(1-q), so the closed form is checked exactly via cross-multiplied
-    rational functions.
+    Past N = ab (> Frobenius) the series is q^{N+1}/(1-q), so with H truncated at N the
+    check is ((1-q) H + q^{N+1})(1-q^a)(1-q^b) = (1-q)(1-q^{ab}), exact, by shifted differences.
     """
     require_coprime(a, b)
     N = a * b
-    S = torus_semigroup(a, b)
-    one_minus_q = ONE - monomial(1)
-    ok = rational_eq(
-        one_minus_q * S.hilbert_trunc(N) + monomial(N + 1),
-        one_minus_q,
-        ONE - monomial(a * b),
-        (ONE - monomial(a)) * (ONE - monomial(b)),
-    )
+    H = torus_semigroup(a, b).hilbert_trunc(N)
+    f = H - H.shift(1) + monomial(N + 1)
+    for k in (a, b):
+        f = f - f.shift(k)
+    ok = f == LaurentPoly([(0, 1), (1, -1), (N, -1), (N + 1, 1)])
     return _exact("eq1", {"a": a, "b": b, "N": N}, ok)
 
 
@@ -365,7 +361,7 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
     require_coprime(a, b)
     params = {"a": a, "b": b}
 
-    floor_corr = BiLaurent({(k - 1, 0): b * k // a for k in range(1, a)})
+    floor_corr = BiLaurent._raw({(k - 1, 0): fl for k in range(1, a) if (fl := b * k // a)})
     rhs = (
         carlitz_poly(a, b).shift(0, 1)
         - (b - 1) * (bi_monomial(a - 1, 0) - 1)
@@ -490,7 +486,7 @@ def check_sawtooth_poly(a: int, b: int) -> IdentityReport:
     q1_sq = q1 * q1
     qb_minus_1 = monomial(b) - ONE
     deriv_num = b * monomial(b) * q1 - qb_minus_1.shift(1)  # b q^b (q-1) - q (q^b - 1)
-    floor_poly = LaurentPoly({k: a * k // b for k in range(b)})
+    floor_poly = LaurentPoly._raw({k: fl for k in range(b) if (fl := a * k // b)})
     rhs = 2 * a * deriv_num - b * qb_minus_1 * q1 - two_b * floor_poly * q1_sq
     ok = LaurentPoly._raw(scaled) * q1_sq == rhs
     return _exact("sawtoothpoly", {"a": a, "b": b}, ok)
@@ -607,15 +603,14 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     def want(identity_id: str) -> bool:
         return not ranges.identities or any(identity_id.startswith(f) for f in ranges.identities)
 
-    reports = []
+    by_id = defaultdict(list)
 
     def run(check, *args) -> None:
         last = time.perf_counter()
         for r in check(*args):
             now = time.perf_counter()
             r.elapsed_ms, last = (now - last) * 1e3, now
-            if want(r.identity_id):
-                reports.append(r)
+            by_id[r.identity_id].append(r)
 
     rows = [row for row in CATALOG if any(want(i) for i in row.ids)]
     pair_checks = [row.pair for row in rows if row.pair]
@@ -627,9 +622,9 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     for S in random_semigroups(ranges.semigroups, random.Random(seed)) if semigroup_checks else ():
         for check in semigroup_checks:
             run(check, S, ranges)
+    reports = [r for i in sorted(filter(want, by_id)) for r in sorted(by_id[i], key=lambda r: sorted(r.params.items()))]
     if not reports:
         raise EmptyPlan(f"no check to run: {ranges} gives the wanted ids no parameters")
-    reports.sort(key=lambda r: (r.identity_id, sorted(r.params.items())))
     return reports
 
 
@@ -667,34 +662,57 @@ def _json_num(x: float) -> str:
     return repr(x) if isfinite(x) else json.dumps(x)
 
 
-def reports_to_json(reports, include_timings: bool = False) -> str:
-    """json.dumps([report_to_obj(r) ...], indent=2, sort_keys=True) + "\n", byte
-    for byte; an indent makes json.dumps run its pure-Python encoder, so every
-    report is written here from one template with its keys in sorted order,
-    strings encoded in C."""
-    objs = []
+def _json_pieces(reports, include_timings: bool):
+    """reports_to_json one report per piece.  Reports of one shape (id, mode, verdict,
+    param keys) share a %-template of elapsed_ms, notes, each param value and residual."""
+    def enc(s):
+        return encode_basestring_ascii(s).replace("%", "%%")
+
+    templates = {}
+    sep = "[\n  "
     for r in reports:
-        elapsed = _json_num(_sig12(r.elapsed_ms)) if include_timings else "0.0"
-        notes = "" if r.notes is None else f'    "notes": {encode_basestring_ascii(r.notes)},\n'
-        params = ",\n".join(f"      {encode_basestring_ascii(k)}: {v!r}" for k, v in sorted(r.params.items()))
-        params = f"{{\n{params}\n    }}" if params else "{}"
-        objs.append(
-            f'{{\n    "elapsed_ms": {elapsed},\n    "id": {encode_basestring_ascii(r.identity_id)},\n'
-            f'    "mode": {encode_basestring_ascii(r.mode)},\n{notes}    "params": {params},\n'
-            f'    "residual": {_json_num(_sig12(r.residual))},\n    "verdict": {encode_basestring_ascii(r.verdict)}\n  }}'
+        shape = (r.identity_id, r.mode, r.verdict, *r.params)
+        if shape not in templates:
+            order = sorted(r.params)
+            fields = ",\n".join(f"      {enc(k)}: %r" for k in order)
+            fields = f"{{\n{fields}\n    }}" if order else "{}"
+            templates[shape] = order, (
+                f'{{\n    "elapsed_ms": %s,\n    "id": {enc(r.identity_id)},\n    "mode": {enc(r.mode)},\n%s    '
+                f'"params": {fields},\n    "residual": %s,\n    "verdict": {enc(r.verdict)}\n  }}')
+        order, template = templates[shape]
+        yield sep + template % (
+            _json_num(_sig12(r.elapsed_ms)) if include_timings else "0.0",
+            "" if r.notes is None else f'    "notes": {encode_basestring_ascii(r.notes)},\n',
+            *map(r.params.__getitem__, order),
+            # a zero residual is written as is, which keeps the sign of -0.0
+            repr(float(r.residual)) if not r.residual else _json_num(_sig12(r.residual)),
         )
-    return "[\n  " + ",\n  ".join(objs) + "\n]\n" if objs else "[]\n"
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def reports_to_csv(reports, include_timings: bool = False) -> str:
-    lines = ["id,params,mode,residual,verdict,elapsed_ms,notes"]
+def _csv_pieces(reports, include_timings: bool):
+    yield "id,params,mode,residual,verdict,elapsed_ms,notes\n"
     for r in reports:
         obj = report_to_obj(r, include_timings)
         params = ";".join(f"{k}={v}" for k, v in obj["params"].items())
         notes = obj.get("notes", "")
         if "," in notes or '"' in notes:
             notes = '"' + notes.replace('"', '""') + '"'
-        lines.append(
-            f"{obj['id']},{params},{obj['mode']},{obj['residual']:.12g},{obj['verdict']},{obj['elapsed_ms']:.12g},{notes}"
-        )
-    return "\n".join(lines) + "\n"
+        yield f"{obj['id']},{params},{obj['mode']},{obj['residual']:.12g},{obj['verdict']},{obj['elapsed_ms']:.12g},{notes}\n"
+
+
+def reports_to_json(reports, include_timings: bool = False, file=None) -> str | None:
+    """json.dumps([report_to_obj(r) ...], indent=2, sort_keys=True) + "\n", byte
+    for byte; an indent makes json.dumps run its pure-Python encoder, so every
+    report is written here from a template with its keys in sorted order,
+    strings encoded in C.  Given a text file, the text is written there one
+    report at a time, never held whole, and None is returned."""
+    pieces = _json_pieces(reports, include_timings)
+    return "".join(pieces) if file is None else file.writelines(pieces)
+
+
+def reports_to_csv(reports, include_timings: bool = False, file=None) -> str | None:
+    """A header and one line per report, written to a given text file as reports_to_json does."""
+    pieces = _csv_pieces(reports, include_timings)
+    return "".join(pieces) if file is None else file.writelines(pieces)

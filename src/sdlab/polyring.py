@@ -107,19 +107,23 @@ class _Sparse:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, op being operator.add or operator.sub, in one pass over other's terms."""
         if isinstance(other, self._COEFFS):
             other = self._raw({self._ONE_KEY: other})
         elif not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            s = out.get(k, 0) + c
+            s = op(out.get(k, 0), c)
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
         return self._raw(out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -127,7 +131,7 @@ class _Sparse:
         return self._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

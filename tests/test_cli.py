@@ -17,7 +17,7 @@ from sdlab.cli import (
     _poly_payload,
     main,
 )
-from sdlab.identities import IDENTITY_IDS, SuiteRanges, reports_to_json, run_suite
+from sdlab.identities import IDENTITY_IDS, SuiteRanges, reports_to_csv, reports_to_json, run_suite
 from sdlab.polyring import BiLaurent, LaurentPoly
 from sdlab.semigroup import SIZE_MAX
 
@@ -192,6 +192,16 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--seed", str(seed), "--out", str(out_file))
         assert code == 0
         assert out_file.read_bytes() == reports_to_json(run_suite(SuiteRanges(), seed=seed)).encode()
+
+    @pytest.mark.parametrize("fmt, to_text", [("json", reports_to_json), ("csv", reports_to_csv)])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_streamed_out_is_the_text(self, capsys, tmp_path, fmt, to_text, seed):
+        # --out is written one report at a time, over an earlier and longer file
+        out_file = tmp_path / f"report.{fmt}"
+        out_file.write_bytes(b"an earlier report\n" * 10**5)
+        code, _, _ = run_cli(capsys, "verify", "--seed", str(seed), "--format", fmt, "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_bytes() == to_text(run_suite(SuiteRanges(), seed=seed)).encode()
 
     def test_csv_and_json_same_content(self, capsys, tmp_path):
         fj, fc = tmp_path / "r.json", tmp_path / "r.csv"

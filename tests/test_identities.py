@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import pkgutil
 import random
@@ -11,7 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdlab.dedekind import apostol_bernoulli, carlitz_poly, carlitz_sawtooth_poly, mirimanoff, rt_poly, voronoi_sum
+from sdlab.dedekind import (
+    apostol_bernoulli,
+    carlitz_floor_sum,
+    carlitz_poly,
+    carlitz_sawtooth_poly,
+    mirimanoff,
+    rt_poly,
+    voronoi_sum,
+)
 from sdlab.errors import EmptyPlan, GcdNotOne, NotAMember, TooLarge, UnknownIdentity
 import sdlab.identities
 import sdlab
@@ -50,7 +59,7 @@ from sdlab.identities import (
     run_suite,
     summarize,
 )
-from sdlab.polyring import LaurentPoly, bi_monomial, monomial, roots_of_unity
+from sdlab.polyring import LaurentPoly, _Sparse, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
 from oracles import coprime_pairs, prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
@@ -69,6 +78,23 @@ class TestEq1:
     def test_gcd_rejected(self):
         with pytest.raises(GcdNotOne):
             check_eq1(2, 4)
+
+    # members of <3, 5> up to N = 15: the least, a generator, the Frobenius
+    # number 7 plus one, and N itself
+    @pytest.mark.parametrize("member", [0, 3, 8, 15])
+    def test_not_vacuous(self, monkeypatch, member):
+        original = NumericalSemigroup.hilbert_trunc
+
+        def dropped(S, n):
+            series = original(S, n)
+            if S.generators != (3, 5):
+                return series
+            assert series.coeff(member) == 1
+            return series - monomial(member)
+
+        monkeypatch.setattr(NumericalSemigroup, "hilbert_trunc", dropped)
+        reports = run_suite(SuiteRanges(pairs_max=5, semigroups=0, identities=("eq1",)), seed=0)
+        assert [(r.params["a"], r.params["b"]) for r in reports if r.verdict == "fail"] == [(3, 5)]
 
 
 class TestEq6:
@@ -553,6 +579,20 @@ class TestExtraChecks:
         for a, b in coprime_pairs(12, 2):
             assert check_sawtooth_poly(a, b).verdict == "pass"
 
+    @pytest.mark.parametrize("a, b, k, step, verdict", [(5, 7, 1, 0, "pass"), (5, 7, 1, 1, "fail"), (5, 7, 4, -1, "fail"),
+                                                        (7, 5, 3, 1, "fail"), (2, 9, 1, -1, "fail")])
+    def test_cor510_not_vacuous(self, monkeypatch, a, b, k, step, verdict):
+        # the right side rebuilt from its correction sum_k floor(bk/a) q^{k-1}
+        # with the floor at k moved by step; step 0 rebuilds it unchanged
+        def moved(a, b):
+            lhs, _ = carlitz_floor_sum(a, b)
+            floors = {j - 1: b * j // a for j in range(1, a)}
+            floors[k - 1] += step
+            return lhs, (b - 1) * monomial(a - 1) - (monomial(1) - 1) * LaurentPoly(floors)
+
+        monkeypatch.setattr(sdlab.identities, "carlitz_floor_sum", moved)
+        assert check_cor510(a, b).verdict == verdict
+
     @pytest.mark.parametrize("coeff", [Fraction(1, 5), Fraction(2, 15)], ids=["off-by-1/(2b)", "denominator-3b"])
     def test_sawtooth_poly_not_vacuous(self, monkeypatch, coeff):
         # the coefficient of q for (3, 5) is 1/10, which 2b = 10 scales to 1;
@@ -564,9 +604,65 @@ class TestExtraChecks:
         assert check_sawtooth_poly(3, 5).verdict == "fail"
 
 
+class TestRawBuilders:
+    """Four polynomials are built with _raw from a dict comprehension that drops
+    zero coefficients, not with the validating constructor: the sawtooth
+    polynomial, the floor-sum correction, prop4's floor_corr and sawtoothpoly's
+    floor_poly.  Each must be what the constructor builds.  Both orders of every
+    coprime pair up to 30 are covered; at even b one sawtooth coefficient is 0,
+    and past a > b the floors floor(bk/a) start at 0."""
+
+    PAIRS = [(a, b) for a in range(1, 31) for b in range(1, 31) if gcd(a, b) == 1]
+
+    def test_sawtooth_poly(self):
+        for a, b in self.PAIRS:
+            p = carlitz_sawtooth_poly(a, b)
+            assert p == LaurentPoly({k: Fraction(2 * (a * k % b) - b, 2 * b) for k in range(b)}), (a, b)
+            assert all(p._terms.values()) and len(p) == b - (b % 2 == 0), (a, b)
+
+    def test_floor_sum_correction(self):
+        for a, b in self.PAIRS:
+            _, rhs = carlitz_floor_sum(a, b)
+            correction = LaurentPoly({k - 1: b * k // a for k in range(1, a)})
+            assert rhs == (b - 1) * monomial(a - 1) - (monomial(1) - 1) * correction, (a, b)
+            assert all(rhs._terms.values()), (a, b)
+
+    def test_every_raw_dict_is_what_the_constructor_builds(self, monkeypatch):
+        raw, seen = _Sparse._raw.__func__, set()
+
+        def checked(cls, terms):
+            assert cls(terms)._terms == terms, (cls.__name__, terms)
+            seen.add(cls.__name__)
+            return raw(cls, terms)
+
+        monkeypatch.setattr(_Sparse, "_raw", classmethod(checked))
+        for a, b in self.PAIRS:
+            carlitz_sawtooth_poly(a, b)
+            carlitz_floor_sum(a, b)
+            assert check_prop4(a, b)[0].verdict == "pass", (a, b)
+            assert check_sawtooth_poly(a, b).verdict == "pass", (a, b)
+        assert seen == {"LaurentPoly", "BiLaurent"}
+
+
 class TestSuite:
     def small_ranges(self):
         return SuiteRanges(pairs_max=7, semigroups=2, member_max=8, d_max=4)
+
+    @pytest.mark.parametrize("ranges", [SuiteRanges(), SuiteRanges(pairs_max=9, identities=("prop1", "eq6", "prop4.T"))],
+                             ids=["default", "filtered"])
+    def test_order_is_one_sort_of_all_reports(self, ranges):
+        reports = run_suite(ranges, seed=0)
+        assert reports == sorted(reports, key=lambda r: (r.identity_id, sorted(r.params.items())))
+
+    def test_order_across_generator_counts(self, monkeypatch):
+        # <4, 5>, <4, 5, 6> and <4, 5, 6, 7> share g1 and g2, so their reports
+        # are ordered where the key g3 of one meets the key s of another
+        population = [NumericalSemigroup.from_generators(g) for g in ([4, 5, 6], [4, 5], [4, 5, 6, 7])]
+        monkeypatch.setattr(sdlab.identities, "random_semigroups", lambda count, rng: population)
+        reports = run_suite(SuiteRanges(pairs_max=3, member_max=9, d_max=3), seed=0)
+        eq6 = [r.params for r in reports if r.identity_id == "eq6" and "g1" in r.params]
+        assert {len([k for k in p if k.startswith("g")]) for p in eq6} == {2, 3, 4}
+        assert reports == sorted(reports, key=lambda r: (r.identity_id, sorted(r.params.items())))
 
     def test_deterministic(self):
         r1 = run_suite(self.small_ranges(), seed=0)
@@ -726,6 +822,14 @@ class TestSerialization:
         reports = self.reports()
         with_timings = json.loads(reports_to_json(reports, include_timings=True))
         assert any(obj["elapsed_ms"] > 0 for obj in with_timings)
+
+    @pytest.mark.parametrize("to_text", [reports_to_json, reports_to_csv])
+    @pytest.mark.parametrize("include_timings", [False, True])
+    def test_file_gets_the_text(self, to_text, include_timings):
+        for reports in (self.reports(), []):
+            fh = io.StringIO()
+            assert to_text(reports, include_timings, file=fh) is None
+            assert fh.getvalue() == to_text(reports, include_timings)
 
 
 _NOTES = st.one_of(st.none(), st.text(), st.sampled_from(['say "hi"', "back\\slash", "two\nlines", "caf\u00e9", "astral \U0001f600"]))
