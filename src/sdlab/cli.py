@@ -31,7 +31,7 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 # size, is refused with one `error:` line (exit 2) before any work.  They
 # bound time: `verify` checks grow with the square of --member-max, a --d-max
 # check scans 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
-# limit takes seconds (--pairs-max 58: 2.7-3.2 s on a 2-core Intel Xeon); the sizes multiply.
+# limit takes seconds (--pairs-max 58: 2.5-3.3 s on a 2-core Intel Xeon); the sizes multiply.
 # A `table` row costs two integer sums over k < b: --pairs-max 100 takes well under a second.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max

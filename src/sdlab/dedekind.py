@@ -100,24 +100,19 @@ def _bernoulli_poly(k: int, q):
 
 
 def apostol_bernoulli(k: int, q, lam):
-    """B_k(q, lam): coefficients of t*e^{tq} / (lam*e^t - 1).
-
-    For lam != 1 the values follow the recurrence
-        (lam - 1) B_k + lam * sum_{i<k} C(k, i) B_i = k q^{k-1},  B_0 = 0,
-    exact for rational inputs.  lam = 1 dispatches to the classical Bernoulli
-    polynomial B_k(q) = sum_i C(k, i) B_i q^{k-i}.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if lam == 1:
-        return _bernoulli_poly(k, q)
+    """B_k(q, lam): coefficients of t*e^{tq} / (lam*e^t - 1), the last of
+    apostol_bernoulli_values(k, q, lam)."""
     return apostol_bernoulli_values(k, q, lam)[k]
 
 
 def apostol_bernoulli_values(k: int, q, lam) -> tuple:
-    """(B_0(q, lam), ..., B_k(q, lam)) from one run of apostol_bernoulli's
-    recurrence: its n-th value does not depend on the target k, so entry n is
-    apostol_bernoulli(n, q, lam), bit for bit, for every n <= k."""
+    """(B_0(q, lam), ..., B_k(q, lam)).
+
+    For lam != 1 the values follow the recurrence
+        (lam - 1) B_n + lam * sum_{i<n} C(n, i) B_i = n q^{n-1},  B_0 = 0,
+    exact for rational inputs; its n-th value does not depend on k.  lam = 1
+    gives the classical Bernoulli polynomials B_n(q) = sum_i C(n, i) B_i q^{n-i}.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam == 1:

@@ -23,7 +23,6 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -410,7 +409,7 @@ def check_gap_values(a: int, b: int) -> list:
     """
     require_coprime(a, b)
     S = torus_semigroup(a, b)
-    ok = Fraction(S.genus) == Fraction((a - 1) * (b - 1), 2)
+    ok = 2 * S.genus == (a - 1) * (b - 1)
     reports = [_exact("gapvalues", {"a": a, "b": b, "k": 0}, ok)]
     values, roots = _gap_root_values(a, b), roots_of_unity(b)
     for k in range(1, b):
@@ -694,12 +693,12 @@ def _json_pieces(reports, include_timings: bool):
 def _csv_pieces(reports, include_timings: bool):
     yield "id,params,mode,residual,verdict,elapsed_ms,notes\n"
     for r in reports:
-        obj = report_to_obj(r, include_timings)
-        params = ";".join(f"{k}={v}" for k, v in obj["params"].items())
-        notes = obj.get("notes", "")
+        params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+        notes = "" if r.notes is None else r.notes
         if "," in notes or '"' in notes:
             notes = '"' + notes.replace('"', '""') + '"'
-        yield f"{obj['id']},{params},{obj['mode']},{obj['residual']:.12g},{obj['verdict']},{obj['elapsed_ms']:.12g},{notes}\n"
+        elapsed = f"{r.elapsed_ms:.12g}" if include_timings else "0"
+        yield f"{r.identity_id},{params},{r.mode},{r.residual:.12g},{r.verdict},{elapsed},{notes}\n"
 
 
 def reports_to_json(reports, include_timings: bool = False, file=None) -> str | None:

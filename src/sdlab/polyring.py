@@ -18,7 +18,6 @@ workhorse the identity checkers build on.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -251,24 +250,11 @@ class LaurentPoly(_Sparse):
         """Exact quotient self / other; raises InexactDivision on a remainder.
 
         A nonzero int or Fraction `other` divides as the constant polynomial.
-        Long division from the top down: the quotient term at exponent e
-        subtracts itself times the divisor's other terms from the remainder at
-        [e - width, e), width = deg(other) - val(other).  The remainder is held
-        in a list over one chunk of `step` exponents and the `width` below it;
-        those bottom `width` entries carry into the next chunk's list, and the
-        dividend's terms, sorted once, enter as the chunks reach them.
-
-        Any step >= 1 gives the same quotient; step = max(width, isqrt(span)),
-        span being the number of quotient exponents.  At least width, the
-        entries each list carries over cost O(span) in all; at least
-        isqrt(span), there are O(sqrt(span)) lists.  So time is O(span +
-        quotient terms x divisor terms), after the sort, and memory is
-        O(width + sqrt(span)): no list covers the whole span.
-
+        Sparse long division from the top down: each quotient term subtracts
+        itself times the divisor's other terms from a dict remainder, so the
+        cost is (span of the quotient) x (terms of the divisor).
         Under a leading coefficient of 1 or -1, int inputs give int quotients;
-        other leads divide as Fractions (c / lead on two ints is a float).  A
-        remainder entry that cancels is reset to int 0, so an entry's type is
-        that of its sum since its last cancellation.
+        other leads divide as Fractions (c / lead on two ints is a float).
         """
         if isinstance(other, self._COEFFS):
             other = LaurentPoly._raw({0: other} if other else {})
@@ -279,32 +265,21 @@ class LaurentPoly(_Sparse):
         if self.is_zero():
             return ZERO
         top = other.degree()
-        width = top - other.valuation()
-        hi, lo = self.degree(), self.valuation() + width
+        hi, lo = self.degree(), self.valuation() - other.valuation() + top
         if hi < lo:
             raise InexactDivision("quotient would not be a polynomial")
-        lead, quo = other._terms[top], {}
+        lead, rem, quo = other._terms[top], dict(self._terms), {}
         unit = lead in (1, -1)
         rest = [(e - top, -d) for e, d in other._terms.items() if e != top]
-        terms = sorted(self._terms.items(), reverse=True)
-        step = max(width, math.isqrt(hi - lo + 1))
-        t, window = 0, []
-        for chunk_hi in range(hi, lo - 1, -step):
-            base = max(lo, chunk_hi - step + 1) - width  # window[i] holds exponent base + i
-            carry = window[:width]
-            window = [0] * (chunk_hi - base + 1 - len(carry)) + carry
-            while t < len(terms) and terms[t][0] >= base:
-                e, c = terms[t]
-                window[e - base] = c
-                t += 1
-            for i in range(chunk_hi - base, width - 1, -1):
-                c = window[i]
-                if c:
-                    c = quo[base + i - top] = c * lead if unit else Fraction(c) / lead
-                    for k, d in rest:
-                        s = window[i + k] + c * d
-                        window[i + k] = s if s else 0
-        if any(window[:width]):
+        for e in range(hi, lo - 1, -1):  # e: the remainder's leading exponent
+            c = rem.pop(e, 0)
+            if c:
+                c = quo[e - top] = c * lead if unit else Fraction(c) / lead
+                for k, d in rest:
+                    s = rem.pop(e + k, 0) + c * d
+                    if s:
+                        rem[e + k] = s
+        if rem:
             raise InexactDivision("nonzero remainder")
         return LaurentPoly._raw(quo)
 
@@ -342,13 +317,6 @@ def geom_sum(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError("m must be >= 0")
     return LaurentPoly._raw(dict.fromkeys(range(m), 1))
-
-
-def rational_eq(fnum: LaurentPoly, fden: LaurentPoly, gnum: LaurentPoly, gden: LaurentPoly) -> bool:
-    """Equality of fnum/fden and gnum/gden as rational functions (cross-multiplied)."""
-    if fden.is_zero() or gden.is_zero():
-        raise ValueError("denominator must be nonzero")
-    return fnum * gden == gnum * fden
 
 
 class BiLaurent(_Sparse):
@@ -398,10 +366,8 @@ class BiLaurent(_Sparse):
         return BiLaurent._raw({(eq * m, et): c for (eq, et), c in self._terms.items()})
 
     def evaluate(self, qv, tv):
-        """Value at (qv, tv), summed in term order; each power is computed once per exponent."""
-        qpow = {e: qv**e for e in {eq for eq, _ in self._terms}}
-        tpow = {e: tv**e for e in {et for _, et in self._terms}}
-        return sum(c * qpow[eq] * tpow[et] for (eq, et), c in self._terms.items())
+        """Value at (qv, tv), summed in term order."""
+        return sum(c * qv**eq * tv**et for (eq, et), c in self._terms.items())
 
 
 def bi_monomial(eq: int, et: int, c=1) -> BiLaurent:

@@ -33,6 +33,7 @@ from sdlab.identities import (
     QT_SAMPLE,
     IdentityReport,
     SuiteRanges,
+    _cyclic_power,
     _gap_root_values,
     _prop2_kernels,
     _prop2_rhs,
@@ -326,13 +327,15 @@ class TestCountRoutesNotVacuous:
     def broken_3_5(self, monkeypatch):
         # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
         # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide.
-        # The pair's root values are cached, so they are rebuilt from the
-        # broken semigroup here and dropped afterwards.
+        # The pair's root values and their cyclic powers are cached, so they are
+        # rebuilt from the broken semigroup here and dropped afterwards.
         bad = drop_gap(torus_semigroup(3, 5), 7)
         monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: bad)
         _gap_root_values.cache_clear()
-        yield
+        _cyclic_power.cache_clear()
+        yield bad
         _gap_root_values.cache_clear()
+        _cyclic_power.cache_clear()
 
     def test_prop1_eq5(self, broken_3_5):
         reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq5"]
@@ -351,6 +354,19 @@ class TestCountRoutesNotVacuous:
     def test_prop6(self, broken_3_5):
         r = check_prop6(3, 5)
         assert r.verdict == "fail" and r.residual == pytest.approx(2.0)
+
+    def test_gapvalues(self, broken_3_5):
+        # the genus is read off the Apery set, so only the root values see the gap
+        reports = check_gap_values(3, 5)
+        assert [(r.params["k"], r.verdict) for r in reports] == [(0, "pass")] + [(k, "fail") for k in range(1, 5)]
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_prop2(self, broken_3_5, m, n):
+        assert check_prop2(3, 5, m, n).verdict == "fail"
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_eq6(self, broken_3_5, s):
+        assert check_eq6(broken_3_5, s).verdict == "fail"
 
     def test_genus_quotient_trig(self):
         S = drop_gap(NumericalSemigroup.from_generators([4, 7, 9]), 6)
@@ -852,6 +868,22 @@ _REPORTS = st.builds(
 def test_json_writer_matches_json_dumps(reports, include_timings):
     objs = [report_to_obj(r, include_timings) for r in reports]
     assert reports_to_json(reports, include_timings) == json.dumps(objs, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REPORTS, max_size=4), st.booleans())
+@example([], False)
+@example([IdentityReport("i", {"b": 5, "a": 3}, "float", -0.0, "fail", 5e-324, 'a, "b"\nc')], True)
+def test_csv_writer_matches_report_obj_lines(reports, include_timings):
+    lines = ["id,params,mode,residual,verdict,elapsed_ms,notes\n"]
+    for obj in (report_to_obj(r, include_timings) for r in reports):
+        params = ";".join(f"{k}={v}" for k, v in obj["params"].items())
+        notes = obj.get("notes", "")
+        if "," in notes or '"' in notes:
+            notes = '"' + notes.replace('"', '""') + '"'
+        lines.append(f"{obj['id']},{params},{obj['mode']},{obj['residual']:.12g},{obj['verdict']},"
+                     f"{obj['elapsed_ms']:.12g},{notes}\n")
+    assert reports_to_csv(reports, include_timings) == "".join(lines)
 
 
 class TestRandomSemigroups:

@@ -14,7 +14,6 @@ from sdlab.polyring import (
     from_t,
     geom_sum,
     monomial,
-    rational_eq,
 )
 from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
@@ -311,27 +310,6 @@ class TestGeomSum:
             assert (monomial(1) - 1) * geom_sum(m) == monomial(m) - ONE
 
 
-class TestRationalEq:
-    def test_spec_cases(self):
-        q = monomial(1)
-        assert rational_eq(ONE - monomial(3), ONE - q, LaurentPoly({0: 1, 1: 1, 2: 1}), ONE)
-        assert rational_eq(q, ONE, monomial(2), q)
-        trefoil = LaurentPoly({0: 1, 1: -1, 2: 1})
-        assert rational_eq(
-            (ONE - monomial(6)) * (ONE - q),
-            (ONE - monomial(2)) * (ONE - monomial(3)),
-            trefoil,
-            ONE,
-        )
-
-    def test_inequality(self):
-        assert not rational_eq(monomial(1), ONE, monomial(2), ONE)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            rational_eq(ONE, ZERO, ONE, ONE)
-
-
 class TestDivision:
     def test_exact_quotients(self):
         q = monomial(1)
@@ -463,7 +441,7 @@ class TestDivision:
         assert f.divexact(monomial(0, 2)) == LaurentPoly({-2: Fraction(1, 2), 5: Fraction(3, 8), 9: Fraction(-7, 2)})
 
     def test_long_geometric_quotient(self):
-        # a quotient of 10**5 unit terms, whose divisor has width 1: hundreds of chunks
+        # a quotient of 10**5 unit terms, whose divisor has width 1
         assert (monomial(10**5) - ONE).divexact(monomial(1) - ONE) == geom_sum(10**5)
 
     def test_cancelled_remainder_restarts_as_int(self):
@@ -552,7 +530,7 @@ class TestDivisionAgainstOracle:
     )
     def test_matches_long_division(self, num, g):
         # an arbitrary dividend, or a product f * g plus an arbitrary r (maybe 0),
-        # over spans of up to a few thousand exponents: many chunk boundaries
+        # over spans of up to a few thousand exponents
         if isinstance(num, tuple):
             f, r = num
             num = f * g + r
