@@ -31,8 +31,9 @@ from .semigroup import NumericalSemigroup, _bound, torus_semigroup
 # size, is refused with one `error:` line (exit 2) before any work.  They
 # bound time: `verify` checks grow with the square of --member-max, a --d-max
 # check scans 19 classes mod d * s (s <= 20), and `dedekind` sums over k < b.  One size at its
-# limit takes seconds (--pairs-max 58: 2.5-3.3 s on a 2-core Intel Xeon); the sizes multiply.
-# A `table` row costs two integer sums over k < b: --pairs-max 100 takes well under a second.
+# limit takes seconds on a 2-core Intel Xeon VM at 2.1 GHz (--pairs-max 58: 2.2-3.0 s; prop7 alone at
+# --semigroups 1000 --d-max 100: 5.9-8.1 s); the sizes multiply.
+# A `table` row costs two integer sums over k < b: --pairs-max 100 takes 0.18-0.26 s.
 PAIRS_MAX_LIMIT = 58  # sdlab verify --pairs-max
 TABLE_PAIRS_MAX = 100  # sdlab table --pairs-max
 SEMIGROUPS_MAX = 1000  # sdlab verify --semigroups

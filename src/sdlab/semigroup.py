@@ -4,10 +4,13 @@ A numerical semigroup is a subset of the nonnegative integers that contains 0,
 is closed under addition, and misses only finitely many integers (its gaps).
 It is held as its Apéry set ap with respect to its least generator m: ap[k] is
 the least member congruent to k mod m, so x is a member iff x >= ap[x % m], the
-Frobenius number is max(ap) - m and the genus sum(a // m for a in ap) (Selmer
-1977).  Gaps, members, quotients S/d and Apéry sets are read off ap class by
-class, with no membership test per integer: class k holds the gaps k, k + m,
-..., ap[k] - m.  A quotient lists its generating set only when it is read.
+Frobenius number is max(ap) - m and the genus (sum(ap) - m(m - 1)/2) / m
+(Selmer 1977).  Gaps, members, quotients S/d and Apéry sets are read off ap
+class by class, with no membership test per integer: class k holds the gaps k,
+k + m, ..., ap[k] - m, which the gap list sieves into one flag per integer below
+the conductor and reads off in ascending order.  A quotient lists its
+generating set only when it is read, and is re-rooted only when its
+multiplicity is below the modulus it was built for.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain, compress
 from math import gcd
 
 from .errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge, require_coprime
@@ -113,7 +116,7 @@ class NumericalSemigroup:
         self.ap = ap
         self.multiplicity = m = len(ap)
         self.frobenius = max(ap) - m
-        self.genus = sum(a // m for a in ap)
+        self.genus = (sum(ap) - m * (m - 1) // 2) // m  # ap[k] = k mod m: sum(ap) = m * genus + sum(range(m))
         self._gaps = None
         self._gap_poly_cache = None
         self._class_counts = {}
@@ -139,11 +142,16 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The gaps in ascending order, listed on first use."""
+        """The gaps in ascending order, listed on first use: class k flags its gaps k, k + m, ...,
+        ap[k] - m in one strided slice of a buffer of one byte per integer below the conductor
+        (at most 2 * genus), and the flagged integers are read off in order, with no sort."""
         if self._gaps is None:
             _bound(self.genus, "genus")
             ap, m = self.ap, self.multiplicity
-            self._gaps = tuple(sorted(chain.from_iterable(range(k, ap[k], m) for k in range(1, m))))
+            flags = bytearray(self.conductor)
+            for k in range(1, m):
+                flags[k:ap[k]:m] = b"\1" * (ap[k] // m)
+            self._gaps = tuple(compress(range(self.conductor), flags))
         return self._gaps
 
     @property
@@ -179,11 +187,11 @@ class NumericalSemigroup:
 
     def apery(self, s: int) -> AperySet:
         """Least member of each residue class mod s; s must be a nonzero member.  Re-rooted
-        from ap in closed form, in O(m + s) steps whatever the genus."""
+        from ap in closed form, in O(m + s) steps whatever the genus; s = m is ap itself."""
         _bound(s, "Apery modulus")
         if s <= 0 or not self.contains(s):
             raise NotAMember(f"{s} is not a nonzero member")
-        return AperySet(s, _reroot(self.ap, s))
+        return AperySet(s, self.ap if s == self.multiplicity else _reroot(self.ap, s))
 
     def gap_poly(self) -> LaurentPoly:
         """Sum of q^g over the gaps g."""
@@ -242,7 +250,7 @@ class NumericalSemigroup:
         n = m // gcd(d, m)
         least = [c - n * ((c + -ap[d * c % m] // d) // n) for c in range(n)]  # c - n*floor((c - ceil(ap/d)) / n)
         mq = min([n, *least[1:]])
-        return NumericalSemigroup(None, _reroot(least, mq))
+        return NumericalSemigroup(None, _reroot(least, mq) if mq < n else tuple(least))
 
     def genus_quotient_trig(self, d: int) -> int:
         """Genus of S/d via the root-of-unity average of the gap polynomial:
@@ -253,16 +261,21 @@ class NumericalSemigroup:
     def genus_quotient_apery(self, d: int, s: int) -> int:
         """Genus of S/d as a floor sum over the Apéry set a of S with respect to d*s,
         for a nonzero s in S/d: g(S/d) = sum_{i=1}^{s-1} floor(a_{d*i} / (d*s)).
-        Each summed entry is found by scanning its class upwards to a member: that
-        visits s - 1 of the d*s classes, where apery(d*s) would build all of them."""
+        Each summed entry is found by scanning its class upwards to a member, x >= ap[x % m]:
+        that visits s - 1 of the d*s classes, where apery(d*s) would build all of them."""
         if d < 1:
             raise ValueError("d must be >= 1")
-        ds = d * s
-        if s <= 0 or not self.contains(ds):
+        ap, m, ds = self.ap, self.multiplicity, d * s
+        if s <= 0 or ds < ap[ds % m]:
             raise NotAMember(f"{s} is not a nonzero member of S/{d}")
         _bound(ds, "Apery modulus")
         _bound(self.genus, "genus")  # the scans step past distinct gaps
-        return sum(next(x for x in count(d * i, ds) if self.contains(x)) // ds for i in range(1, s))
+        total = 0
+        for x in range(d, ds, d):
+            while x < ap[x % m]:
+                x += ds
+            total += x // ds
+        return total
 
 
 @lru_cache(maxsize=16)

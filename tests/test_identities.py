@@ -324,18 +324,24 @@ class TestCountRoutesNotVacuous:
         assert [r.params["k"] for r in reports if r.verdict == "fail"] == [2]
 
     @pytest.fixture
-    def broken_3_5(self, monkeypatch):
+    def patch_3_5(self, monkeypatch):
+        # The pair's root values and their cyclic powers are cached, so they are
+        # rebuilt from the patched semigroup and dropped afterwards.
+        def patch(S):
+            monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: S)
+            _gap_root_values.cache_clear()
+            _cyclic_power.cache_clear()
+            return S
+
+        yield patch
+        _gap_root_values.cache_clear()
+        _cyclic_power.cache_clear()
+
+    @pytest.fixture
+    def broken_3_5(self, patch_3_5):
         # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
         # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide.
-        # The pair's root values and their cyclic powers are cached, so they are
-        # rebuilt from the broken semigroup here and dropped afterwards.
-        bad = drop_gap(torus_semigroup(3, 5), 7)
-        monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: bad)
-        _gap_root_values.cache_clear()
-        _cyclic_power.cache_clear()
-        yield bad
-        _gap_root_values.cache_clear()
-        _cyclic_power.cache_clear()
+        return patch_3_5(drop_gap(torus_semigroup(3, 5), 7))
 
     def test_prop1_eq5(self, broken_3_5):
         reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq5"]
@@ -359,6 +365,13 @@ class TestCountRoutesNotVacuous:
         # the genus is read off the Apery set, so only the root values see the gap
         reports = check_gap_values(3, 5)
         assert [(r.params["k"], r.verdict) for r in reports] == [(0, "pass")] + [(k, "fail") for k in range(1, 5)]
+
+    def test_gapvalues_genus(self, patch_3_5):
+        # 13 in place of 10 in class 1 of the Apery set adds the gap 10: the genus
+        # read off it is 5, not (3 - 1)(5 - 1)/2
+        S = patch_3_5(NumericalSemigroup((3, 5), (0, 13, 5)))
+        assert S.gaps == (1, 2, 4, 7, 10) and S.genus == 5
+        assert check_gap_values(3, 5)[0].verdict == "fail"
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_prop2(self, broken_3_5, m, n):
@@ -483,6 +496,13 @@ class TestProp4:
             all_match = all(display_base.shift(j, 0) == t11 for j in range(1, b))
             _, t = check_prop4(a, b)
             assert t.verdict == ("pass" if all_match else "expected-discrepancy"), (a, b)
+
+    def test_t11_count_decides_the_verdict(self, monkeypatch):
+        # at (3, 2) the counts agree; one display term more turns the verdict
+        assert check_prop4(3, 2)[1].verdict == "pass"
+        monkeypatch.setattr(sdlab.identities, "_t11_display",
+                            lambda *args: (_t11_display(*args)[0], _t11_display(*args)[1] + 1))
+        assert check_prop4(3, 2)[1].verdict == "expected-discrepancy"
 
     @pytest.mark.parametrize(
         "a, b, verdict",

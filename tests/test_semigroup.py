@@ -364,7 +364,8 @@ class TestQuotient:
             S.genus_quotient_apery(2, 1)  # 2*1 = 2 is not in <3,5>
 
     def test_no_membership_test_per_integer(self, monkeypatch):
-        # quotients and listings are read off the Apery set, class by class
+        # quotients, listings and the quotient genus floor sums are read off the
+        # Apery set, class by class
         def refuse(self, x):
             raise AssertionError(f"membership test for {x}")
 
@@ -378,6 +379,8 @@ class TestQuotient:
             Q = S.quotient(d)
             assert Q.gaps == tuple(g // d for g in S.gaps if g % d == 0)
             assert Q.members(30) == [x // d for x in S.members(30 * d) if x % d == 0]
+            for s in (Q.multiplicity, 12):  # d * 12 is in S, so 12 is in S/d
+                assert S.genus_quotient_apery(d, s) == Q.genus
 
     def test_generators_listed_only_when_read(self, monkeypatch):
         def refuse(*args):
@@ -391,6 +394,25 @@ class TestQuotient:
                 assert Q.ap[0] == 0 and Q.genus == len(Q.gaps) and Q.frobenius == max(Q.gaps, default=-1)
         for d, Q in quotients.items():
             assert Q.generators == quotient_by_definition(S, d).generators
+
+    def test_rerooted_only_when_the_multiplicity_moves(self, monkeypatch):
+        # S/d is built on n = m/gcd(d, m), which is in S/d: when n is its
+        # multiplicity, and for apery(m), the Apery set is kept as it is
+        def refuse(ap, s):
+            raise AssertionError(f"re-rooted at {s}")
+
+        S = NumericalSemigroup.from_generators([12, 20, 33])
+        want = {d: quotient_by_definition(S, d) for d in range(2, 13)}
+        kept = [d for d, Q in want.items() if Q.multiplicity == 12 // gcd(d, 12)]
+        assert kept == [2, 3, 4, 6, 8, 9, 12]
+        monkeypatch.setattr(sdlab.semigroup, "_reroot", refuse)
+        assert S.apery(12).elements == S.ap
+        for d, Q in want.items():
+            if d in kept:
+                assert S.quotient(d) == Q
+            else:
+                with pytest.raises(AssertionError, match="re-rooted"):
+                    S.quotient(d)
 
 
 class TestFrobeniusConsistency:
