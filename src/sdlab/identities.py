@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import fsum, gcd, isfinite
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .dedekind import (
@@ -73,18 +74,9 @@ class IdentityReport:
 
 
 def _finish(identity_id, params, mode, residual, ok, notes=None, expected=False):
-    if expected:
-        verdict = "expected-discrepancy"
-    else:
-        verdict = "pass" if ok else "fail"
-    return IdentityReport(
-        identity_id=identity_id,
-        params=dict(params),
-        mode=mode,
-        residual=float(residual),
-        verdict=verdict,
-        notes=notes,
-    )
+    """The report of one check.  It owns params, uncopied: each caller passes a dict of its own."""
+    verdict = "expected-discrepancy" if expected else "pass" if ok else "fail"
+    return IdentityReport(identity_id, params, mode, float(residual), verdict, 0.0, notes)
 
 
 def _exact(identity_id, params, ok):
@@ -160,7 +152,7 @@ def _prop1_reports(ids: tuple, S: NumericalSemigroup, s: int, cases) -> list:
         ok = parts[r]._terms == dict.fromkeys(range(r, r + s * fl, s), 1)
         reports.append(_exact(poly_id, params, ok))
         err = abs(fl - counts[r])
-        reports.append(_finish(count_id, params, "exact", err, err == 0))
+        reports.append(_finish(count_id, params.copy(), "exact", err, err == 0))
     return reports
 
 
@@ -270,16 +262,18 @@ def check_prop3(a: int, b: int) -> IdentityReport:
 
     Checked exactly: for each k the j-average collapses to the class-pi(k)
     multisection of the gap polynomial, so both sides are bivariate Laurent
-    polynomials.
+    polynomials.  Multiplying by q^b - 1 keeps each class mod b, so the gap
+    polynomial is multiplied by it once, by shifts, and the product multisected.
     """
     require_coprime(a, b)
-    parts = torus_semigroup(a, b).gap_poly().multisection(b)
+    gap_poly = torus_semigroup(a, b).gap_poly()
+    parts = (gap_poly.shift(b) - gap_poly).multisection(b)
     # block k, (q^b - 1) * part pi(k) shifted by q^{-pi(k)}, fills only
     # t-degree k - 1, so no two blocks share a key
     blocks = {}
     for k in range(1, b):
         pik = a * k % b
-        for e, c in (parts[pik].shift(b) - parts[pik])._terms.items():
+        for e, c in parts[pik]._terms.items():
             blocks[e - pik, k - 1] = c
     ok = carlitz_poly(a, b).scale_q(b) == from_t(geom_sum(b - 1)) + BiLaurent._raw(blocks)
     return _exact("prop3", {"a": a, "b": b}, ok)
@@ -358,8 +352,6 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
        iff the counts agree and b <= 2 or T_{1,1} = 0 (which holds at a = 1).
     """
     require_coprime(a, b)
-    params = {"a": a, "b": b}
-
     floor_corr = BiLaurent._raw({(k - 1, 0): fl for k in range(1, a) if (fl := b * k // a)})
     rhs = (
         carlitz_poly(a, b).shift(0, 1)
@@ -368,7 +360,7 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
         + floor_corr.shift(1, 0)
         - floor_corr
     )
-    r_report = _exact("prop4.R11", params, rhs == _r11_telescoped(a, b))
+    r_report = _exact("prop4.R11", {"a": a, "b": b}, rhs == _r11_telescoped(a, b))
 
     q0, t0 = QT_SAMPLE
     tv, t11_count = _t11_sum(a, b, q0, t0)
@@ -379,7 +371,7 @@ def check_prop4(a: int, b: int) -> tuple[IdentityReport, IdentityReport]:
         f"T11 by definition = {tv:.12g}, display with k=1 reading = {dv:.12g} "
         f"at (q,t)=({q0},{t0}); term counts {t11_count} vs {display_count}"
     )
-    return r_report, _finish("prop4.T11", params, "exact", residual, all_match, notes=notes, expected=not all_match)
+    return r_report, _finish("prop4.T11", {"a": a, "b": b}, "exact", residual, all_match, notes=notes, expected=not all_match)
 
 
 def check_prop5(a: int, b: int) -> IdentityReport:
@@ -436,9 +428,10 @@ def check_prop6(a: int, b: int) -> IdentityReport:
 # -- section 6: quotient semigroups ------------------------------------------------
 
 
-def _prop7_svals(S: NumericalSemigroup, d: int) -> list[int]:
-    """The s <= 20 with d*s in S: the Apery moduli a prop7 check uses."""
-    return [s for s in range(1, 21) if S.contains(d * s)]
+@lru_cache(maxsize=1)  # the catalog row's filter asks first, then check_prop7 at the same (S, d)
+def _prop7_svals(ap: tuple, d: int) -> tuple:
+    """The s <= 20 with d*s in the semigroup of Apery set ap: the Apery moduli a prop7 check uses."""
+    return tuple(s for s in range(1, 21) if d * s >= ap[d * s % len(ap)])
 
 
 def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
@@ -448,7 +441,7 @@ def check_prop7(S: NumericalSemigroup, d: int) -> IdentityReport:
         raise ValueError("d must be >= 1")
     quotient = S.quotient(d)
     g = quotient.genus
-    svals = _prop7_svals(S, d)
+    svals = _prop7_svals(S.ap, d)
     if not svals:
         raise ValueError("no nonzero s <= 20 in S/d")
     ok = S.genus_quotient_trig(d) == g and all(S.genus_quotient_apery(d, s) == g for s in svals)
@@ -568,7 +561,7 @@ CATALOG = (
                pair=lambda a, b: (check_prop6(a, b),)),
     CatalogRow(("prop7",), "genus of S/d: floor formula = multisection count = brute force",
                semigroup=lambda S, r: (check_prop7(S, d) for d in range(1, r.d_max + 1)
-                                       if _prop7_svals(S, d))),
+                                       if _prop7_svals(S.ap, d))),
     CatalogRow(("cor510",), "floor-sum polynomial identity swapping the roles of a and b",
                pair=lambda a, b: (check_cor510(a, b),)),
     CatalogRow(("sawtoothpoly",), "sawtooth generating polynomial vs its rational closed form",
@@ -586,12 +579,14 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     then one random semigroup before the next.  Deterministic for a fixed
     seed: the random-semigroup population comes from a seeded PRNG, every
     float check evaluates at fixed sample points, and the returned reports are
-    sorted canonically (id, then params) regardless of the order the checks
-    ran in.  Each report's elapsed_ms is the time since the previous report
-    of the same row call, or since the call began, stamped before the
-    identity filter looks at it.  A filter in ranges.identities that is a
-    prefix of no id in IDENTITY_IDS raises UnknownIdentity; ranges with
-    pairs_max > 0 that give the wanted rows no check raise EmptyPlan.
+    sorted canonically (id, then sorted param items) regardless of the order
+    the checks ran in; an id whose params share their names (every pair row's)
+    is sorted by the values in name order, which orders it the same way.
+    Each report's elapsed_ms is the time since the previous report of the same
+    row call, or since the call began, stamped before the identity filter looks
+    at it.  A filter in ranges.identities that is a prefix of no id in
+    IDENTITY_IDS raises UnknownIdentity; ranges with pairs_max > 0 that give
+    the wanted rows no check raise EmptyPlan.
     """
     for f in ranges.identities:
         if not any(i.startswith(f) for i in IDENTITY_IDS):
@@ -621,7 +616,14 @@ def run_suite(ranges: SuiteRanges = SuiteRanges(), seed: int = 0) -> list:
     for S in random_semigroups(ranges.semigroups, random.Random(seed)) if semigroup_checks else ():
         for check in semigroup_checks:
             run(check, S, ranges)
-    reports = [r for i in sorted(filter(want, by_id)) for r in sorted(by_id[i], key=lambda r: sorted(r.params.items()))]
+    reports = []
+    for i in sorted(filter(want, by_id)):
+        names = by_id[i][0].params.keys()
+        if names and all(r.params.keys() == names for r in by_id[i]):
+            get = itemgetter(*sorted(names))  # one set of names: the values sort as the items do
+            reports += sorted(by_id[i], key=lambda r: get(r.params))
+        else:
+            reports += sorted(by_id[i], key=lambda r: sorted(r.params.items()))
     if not reports:
         raise EmptyPlan(f"no check to run: {ranges} gives the wanted ids no parameters")
     return reports
@@ -663,7 +665,8 @@ def _json_num(x: float) -> str:
 
 def _json_pieces(reports, include_timings: bool):
     """reports_to_json one report per piece.  Reports of one shape (id, mode, verdict,
-    param keys) share a %-template of elapsed_ms, notes, each param value and residual."""
+    param keys) share a %-template of elapsed_ms, notes, each param value and residual,
+    and a getter of the param values in the template's order."""
     def enc(s):
         return encode_basestring_ascii(s).replace("%", "%%")
 
@@ -675,14 +678,15 @@ def _json_pieces(reports, include_timings: bool):
             order = sorted(r.params)
             fields = ",\n".join(f"      {enc(k)}: %r" for k in order)
             fields = f"{{\n{fields}\n    }}" if order else "{}"
-            templates[shape] = order, (
+            get = itemgetter(*order) if len(order) > 1 else lambda params, order=order: tuple(map(params.__getitem__, order))
+            templates[shape] = get, (
                 f'{{\n    "elapsed_ms": %s,\n    "id": {enc(r.identity_id)},\n    "mode": {enc(r.mode)},\n%s    '
                 f'"params": {fields},\n    "residual": %s,\n    "verdict": {enc(r.verdict)}\n  }}')
-        order, template = templates[shape]
+        get, template = templates[shape]
         yield sep + template % (
             _json_num(_sig12(r.elapsed_ms)) if include_timings else "0.0",
             "" if r.notes is None else f'    "notes": {encode_basestring_ascii(r.notes)},\n',
-            *map(r.params.__getitem__, order),
+            *get(r.params),
             # a zero residual is written as is, which keeps the sign of -0.0
             repr(float(r.residual)) if not r.residual else _json_num(_sig12(r.residual)),
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd
 
 from .errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge, require_coprime
@@ -86,6 +86,12 @@ class AperySet:
         for k, a in enumerate(self.elements):
             if a % self.modulus != k:
                 raise ValueError(f"element {a} not in residue class {k}")
+
+    @classmethod
+    def _unchecked(cls, elements: tuple[int, ...]) -> "AperySet":  # one element per class by construction
+        apery = object.__new__(cls)
+        apery.__dict__.update(modulus=len(elements), elements=elements)
+        return apery
 
     def __getitem__(self, k: int) -> int:
         return self.elements[k]
@@ -191,7 +197,7 @@ class NumericalSemigroup:
         _bound(s, "Apery modulus")
         if s <= 0 or not self.contains(s):
             raise NotAMember(f"{s} is not a nonzero member")
-        return AperySet(s, self.ap if s == self.multiplicity else _reroot(self.ap, s))
+        return AperySet._unchecked(self.ap if s == self.multiplicity else _reroot(self.ap, s))
 
     def gap_poly(self) -> LaurentPoly:
         """Sum of q^g over the gaps g."""
@@ -255,8 +261,11 @@ class NumericalSemigroup:
     def genus_quotient_trig(self, d: int) -> int:
         """Genus of S/d via the root-of-unity average of the gap polynomial:
         (1/d) * sum_k C_S(e^{2*pi*i*k/d}) picks out the gaps divisible by d, so
-        it is the class-0 count of class_counts(d), taken from the gap list."""
-        return self.class_counts(d)[0]
+        it is their number, counted straight from the gap list, not from ap."""
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        _bound(d, "modulus")
+        return [g % d for g in self.gaps].count(0)
 
     def genus_quotient_apery(self, d: int, s: int) -> int:
         """Genus of S/d as a floor sum over the Apéry set a of S with respect to d*s,
@@ -332,12 +341,14 @@ def alexander_closed_form(a: int, b: int) -> LaurentPoly:
     start = [0] * m  # start[c]: the +1 term of N in class c
     for i in range(m):
         start[n * i % m] = n * i
-    terms = {}
+    pos, neg = [], []  # the classes' ranges of +1 and of -1 terms, disjoint
     for i in range(m):
         stop = n * i + 1
         lo = start[stop % m]
         if lo < stop:
-            terms.update(dict.fromkeys(range(lo, stop, m), 1))
+            pos.append(range(lo, stop, m))
         else:
-            terms.update(dict.fromkeys(range(stop, lo, m), -1))
+            neg.append(range(stop, lo, m))
+    terms = dict.fromkeys(chain.from_iterable(pos), 1)
+    terms.update(zip(chain.from_iterable(neg), repeat(-1)))  # pairs, not a second dict: a lower peak
     return LaurentPoly._raw(terms)

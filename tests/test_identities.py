@@ -700,6 +700,16 @@ class TestSuite:
         assert {len([k for k in p if k.startswith("g")]) for p in eq6} == {2, 3, 4}
         assert reports == sorted(reports, key=lambda r: (r.identity_id, sorted(r.params.items())))
 
+    def test_each_report_owns_its_params(self):
+        # reports are built without copying their params, so no two may share a dict,
+        # not even the two statements one call checks from one set of params
+        reports = run_suite(SuiteRanges(), seed=0)
+        assert len({id(r.params) for r in reports}) == len(reports)
+        for eq2, eq3 in (check_prop1(NumericalSemigroup.from_generators([4, 7, 9]), 4)[:2],
+                         check_prop1_ab(3, 5)[:2], check_prop4(3, 5)):
+            assert eq2.identity_id != eq3.identity_id and eq2.params == eq3.params
+            assert eq2.params is not eq3.params
+
     def test_deterministic(self):
         r1 = run_suite(self.small_ranges(), seed=0)
         r2 = run_suite(self.small_ranges(), seed=0)
@@ -885,6 +895,9 @@ _REPORTS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_REPORTS, max_size=4), st.booleans())
 @example([], False)
+# shapes with no, one and two params, the one-param shape met again after the others
+@example([IdentityReport("i", {"k": 1}, "exact", 0.0, "pass"), IdentityReport("j", {"b": 2, "a": 1}, "exact", 0.0, "pass"),
+          IdentityReport("j", {}, "exact", 0.0, "pass"), IdentityReport("i", {"k": 2}, "exact", 0.0, "pass")], False)
 def test_json_writer_matches_json_dumps(reports, include_timings):
     objs = [report_to_obj(r, include_timings) for r in reports]
     assert reports_to_json(reports, include_timings) == json.dumps(objs, indent=2, sort_keys=True) + "\n"

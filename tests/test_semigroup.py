@@ -10,6 +10,7 @@ from sdlab.errors import EmptyGenerators, GcdNotOne, NotAMember, TooLarge
 from sdlab.polyring import LaurentPoly, ONE, monomial
 from sdlab.semigroup import (
     SIZE_MAX,
+    AperySet,
     NumericalSemigroup,
     alexander_closed_form,
     torus_gaps_mordell,
@@ -129,6 +130,14 @@ class TestApery:
             S.apery(4)
         with pytest.raises(NotAMember):
             S.apery(0)
+
+    def test_public_constructor_checks_the_classes(self):
+        # apery builds its result unchecked; a caller's AperySet is checked
+        assert AperySet(5, (0, 6, 12, 3, 9)) == torus_semigroup(3, 5).apery(5)
+        with pytest.raises(ValueError, match="one element per residue class"):
+            AperySet(5, (0, 6, 12, 3))
+        with pytest.raises(ValueError, match="element 13 not in residue class 2"):
+            AperySet(5, (0, 6, 13, 3, 9))
 
 
 class TestGapPolynomials:
@@ -349,6 +358,8 @@ class TestQuotient:
         assert S.genus_quotient_trig(2) == 2
         assert S.genus_quotient_trig(1) == S.genus
         assert S.genus_quotient_trig(7) == 1
+        with pytest.raises(ValueError):
+            S.genus_quotient_trig(0)
 
     def test_apery_examples(self):
         S = torus_semigroup(3, 5)
@@ -458,7 +469,17 @@ def test_apery_sets_match_closure(gens):
         least = {}
         for x in members:
             least.setdefault(x % s, x)
-        assert list(S.apery(s)) == [least[k] for k in range(s)] == list(apery_by_definition(S, s))
+        ap = S.apery(s)
+        assert ap.modulus == len(ap) == s
+        assert list(ap) == [least[k] for k in range(s)] == list(apery_by_definition(S, s))
+
+
+@settings(deadline=None)
+@given(gens=GENERATORS, d=st.integers(1, 40))
+def test_quotient_trig_counts_class_zero(gens, d):
+    # the gaps divisible by d, counted on their own, are class 0 of the class counts
+    S = NumericalSemigroup.from_generators(gens)
+    assert S.genus_quotient_trig(d) == S.class_counts(d)[0]
 
 
 @settings(deadline=None)
