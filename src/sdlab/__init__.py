@@ -1,6 +1,13 @@
 """sdlab: numerical semigroups, Dedekind-type sums, torus-knot Alexander
 polynomials, and an exact verification suite for the identities tying them
-together."""
+together.
+
+The names imported below are the public API: ``__all__`` is computed from
+them, as every name in this namespace that does not start with ``_`` and is
+not a submodule, so importing a name here exports it.
+"""
+
+from types import ModuleType as _ModuleType
 
 from .errors import (
     EmptyGenerators,
@@ -67,57 +74,5 @@ from .identities import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AperySet",
-    "BiLaurent",
-    "EmptyGenerators",
-    "EmptyPlan",
-    "GcdNotOne",
-    "IdentityReport",
-    "InexactDivision",
-    "LaurentPoly",
-    "NotAMember",
-    "NumericalSemigroup",
-    "ONE",
-    "SdlabError",
-    "SuiteRanges",
-    "TooLarge",
-    "UnknownIdentity",
-    "ZERO",
-    "alexander_closed_form",
-    "apostol_bernoulli",
-    "apostol_bernoulli_values",
-    "bi_monomial",
-    "carlitz_floor_sum",
-    "carlitz_poly",
-    "carlitz_sawtooth_poly",
-    "check_cor510",
-    "check_eq1",
-    "check_eq6",
-    "check_gap_values",
-    "check_prop1",
-    "check_prop1_ab",
-    "check_prop2",
-    "check_prop3",
-    "check_prop4",
-    "check_prop5",
-    "check_prop6",
-    "check_prop7",
-    "check_sawtooth_poly",
-    "dedekind_sum",
-    "from_t",
-    "geom_sum",
-    "mirimanoff",
-    "mirimanoff_vs_apostol_check",
-    "monomial",
-    "reports_to_csv",
-    "reports_to_json",
-    "roots_of_unity",
-    "rt_poly",
-    "run_suite",
-    "summarize",
-    "torus_gaps_mordell",
-    "torus_semigroup",
-    "voronoi_sum",
-    "zolotarev",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

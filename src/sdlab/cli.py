@@ -295,7 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SdlabError, ValueError, OSError) as exc:
+    # OverflowError: an int too large for a float route, such as the cotangent
+    # sum at a = 10**400
+    except (SdlabError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

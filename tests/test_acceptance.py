@@ -35,7 +35,7 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import coprime_pairs, pair_gaps
+from reference_oracles import coprime_pairs, pair_gaps
 
 
 def _report(num: int, label: str, ok: bool, elapsed: float | None = None) -> None:

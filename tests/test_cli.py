@@ -156,6 +156,12 @@ class TestDedekindCommand:
         code, out, _ = run_cli(capsys, "dedekind", str(DEDEKIND_B_MAX + 1), "3", "--sum")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [[], ["--sum", "--format", "json"]], ids=["default", "sum-json"])
+    def test_a_past_float_range_is_one_line(self, capsys, argv):
+        # the cotangent route takes pi * a * k / b as a float, and 10**400 has none
+        code, out, err = run_cli(capsys, "dedekind", str(10**400), "7", *argv)
+        assert_one_line_error(code, out, err, "float")
+
 
 class TestVerifyCommand:
     ARGS = ("verify", "--pairs-max", "7", "--semigroups", "1", "--member-max", "6", "--seed", "0")
@@ -824,8 +830,8 @@ class TestPolyPayload:
 # passes SIZE_MAX), and so is the pair 100000,100001.  Values such as 10**5
 # or SIZE_MAX + 1 beside a small generator are left out of the generator
 # lists: they give a genus at or under SIZE_MAX, which is allowed and takes
-# seconds to list.
-HUGE = [10**12, 2**64, -(10**30)]
+# seconds to list.  10**400 is past float range.
+HUGE = [10**12, 2**64, 10**400, -(10**30)]
 INTS = st.one_of(st.integers(-3, 40), st.sampled_from([100000, SIZE_MAX + 1, *HUGE]))
 GENERATORS = st.one_of(
     st.lists(st.one_of(st.integers(1, 40), st.integers(-3, 40), st.sampled_from(HUGE)), max_size=4).map(

@@ -19,7 +19,7 @@ from sdlab.dedekind import (
 from sdlab.errors import GcdNotOne
 from sdlab.polyring import BiLaurent, LaurentPoly, roots_of_unity
 
-from oracles import (
+from reference_oracles import (
     coprime_pairs,
     dedekind_kb_form,
     dedekind_quotient_form,

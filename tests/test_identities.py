@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from pathlib import Path
 
@@ -63,7 +64,21 @@ from sdlab.identities import (
 from sdlab.polyring import LaurentPoly, _Sparse, bi_monomial, monomial, roots_of_unity
 from sdlab.semigroup import NumericalSemigroup, torus_semigroup
 
-from oracles import coprime_pairs, prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
+from reference_oracles import coprime_pairs, prop2_composition_sums, prop3_dj_sum, prop5_kernel_sum, prop6_class_count_form
+
+
+def drop_member(monkeypatch, member: int) -> None:
+    """Drop member from every truncated Hilbert series of <3, 5>."""
+    original = NumericalSemigroup.hilbert_trunc
+
+    def dropped(S, n):
+        series = original(S, n)
+        if S.generators != (3, 5):
+            return series
+        assert series.coeff(member) == 1
+        return series - monomial(member)
+
+    monkeypatch.setattr(NumericalSemigroup, "hilbert_trunc", dropped)
 
 
 class TestEq1:
@@ -84,16 +99,7 @@ class TestEq1:
     # number 7 plus one, and N itself
     @pytest.mark.parametrize("member", [0, 3, 8, 15])
     def test_not_vacuous(self, monkeypatch, member):
-        original = NumericalSemigroup.hilbert_trunc
-
-        def dropped(S, n):
-            series = original(S, n)
-            if S.generators != (3, 5):
-                return series
-            assert series.coeff(member) == 1
-            return series - monomial(member)
-
-        monkeypatch.setattr(NumericalSemigroup, "hilbert_trunc", dropped)
+        drop_member(monkeypatch, member)
         reports = run_suite(SuiteRanges(pairs_max=5, semigroups=0, identities=("eq1",)), seed=0)
         assert [(r.params["a"], r.params["b"]) for r in reports if r.verdict == "fail"] == [(3, 5)]
 
@@ -307,6 +313,33 @@ def drop_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
     return broken
 
 
+def clear_root_caches() -> None:
+    # a pair's root values and their cyclic powers are cached from its semigroup
+    _gap_root_values.cache_clear()
+    _cyclic_power.cache_clear()
+
+
+def patch_torus(monkeypatch, S: NumericalSemigroup) -> NumericalSemigroup:
+    """Make S the semigroup of every pair, with the caches built from the old
+    one dropped."""
+    monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: S)
+    clear_root_caches()
+    return S
+
+
+def drop_gap_7_of_3_5(monkeypatch) -> NumericalSemigroup:
+    # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
+    # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide.
+    return patch_torus(monkeypatch, drop_gap(torus_semigroup(3, 5), 7))
+
+
+@pytest.fixture
+def root_caches():
+    """Drop the root values that a patched semigroup leaves cached."""
+    yield
+    clear_root_caches()
+
+
 class TestCountRoutesNotVacuous:
     """The routes the catalog runs must see a gap list that disagrees with the
     Apery set: counts taken from the Apery set would hide it."""
@@ -324,24 +357,8 @@ class TestCountRoutesNotVacuous:
         assert [r.params["k"] for r in reports if r.verdict == "fail"] == [2]
 
     @pytest.fixture
-    def patch_3_5(self, monkeypatch):
-        # The pair's root values and their cyclic powers are cached, so they are
-        # rebuilt from the patched semigroup and dropped afterwards.
-        def patch(S):
-            monkeypatch.setattr(sdlab.identities, "torus_semigroup", lambda a, b: S)
-            _gap_root_values.cache_clear()
-            _cyclic_power.cache_clear()
-            return S
-
-        yield patch
-        _gap_root_values.cache_clear()
-        _cyclic_power.cache_clear()
-
-    @pytest.fixture
-    def broken_3_5(self, patch_3_5):
-        # 7 is in class 2 mod 5, which k = 4 reaches (3 * 4 = 12); prop6's sum
-        # then moves by (b-1)/2 - k = -2, where a gap reached by k = 2 would hide.
-        return patch_3_5(drop_gap(torus_semigroup(3, 5), 7))
+    def broken_3_5(self, monkeypatch, root_caches):
+        return drop_gap_7_of_3_5(monkeypatch)
 
     def test_prop1_eq5(self, broken_3_5):
         reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq5"]
@@ -350,12 +367,6 @@ class TestCountRoutesNotVacuous:
     def test_prop1_eq4(self, broken_3_5):
         reports = [r for r in check_prop1_ab(3, 5) if r.identity_id == "prop1.eq4"]
         assert [r.params["k"] for r in reports if r.verdict == "fail"] == [4]
-
-    def test_prop3(self, broken_3_5):
-        assert check_prop3(3, 5).verdict == "fail"
-
-    def test_prop5_exact(self, broken_3_5):
-        assert check_prop5(3, 5).verdict == "fail"
 
     def test_prop6(self, broken_3_5):
         r = check_prop6(3, 5)
@@ -366,10 +377,10 @@ class TestCountRoutesNotVacuous:
         reports = check_gap_values(3, 5)
         assert [(r.params["k"], r.verdict) for r in reports] == [(0, "pass")] + [(k, "fail") for k in range(1, 5)]
 
-    def test_gapvalues_genus(self, patch_3_5):
+    def test_gapvalues_genus(self, monkeypatch, root_caches):
         # 13 in place of 10 in class 1 of the Apery set adds the gap 10: the genus
         # read off it is 5, not (3 - 1)(5 - 1)/2
-        S = patch_3_5(NumericalSemigroup((3, 5), (0, 13, 5)))
+        S = patch_torus(monkeypatch, NumericalSemigroup((3, 5), (0, 13, 5)))
         assert S.gaps == (1, 2, 4, 7, 10) and S.genus == 5
         assert check_gap_values(3, 5)[0].verdict == "fail"
 
@@ -397,14 +408,32 @@ class TestProp3:
 
     def test_modes_agree(self):
         # the exact route the checker takes and the literal d_j sum of the
-        # display (tests/oracles.py); q near 1 keeps the q^{-pi(k)} factors
-        # inside d_j from amplifying roundoff
+        # display (tests/reference_oracles.py); q near 1 keeps the q^{-pi(k)}
+        # factors inside d_j from amplifying roundoff
         for a, b in coprime_pairs(20, 1):
             assert check_prop3(a, b).verdict == "pass"
             lhs = carlitz_poly(a, b).scale_q(b)
             for q0, t0 in ((0.9, 0.59), (0.86, 0.43)):
                 want = lhs.evaluate(complex(q0), complex(t0))
                 assert abs(prop3_dj_sum(a, b, q0, t0) - want) <= 1e-8 * (1 + abs(want)), (a, b)
+
+
+def add_r11_stray(monkeypatch, a: int, b: int, where: str) -> None:
+    """Give prop4.R11 at (a, b) a left side R11 (q-1)(t-1) with one coefficient
+    off, or with one stray term in the row or column just past its support, in
+    the corner past both, or below q^0."""
+    true = _r11_telescoped(a, b)
+    top_q = max(i for i, _ in true._terms)
+    top_t = max(j for _, j in true._terms)
+    stray = {
+        "coefficient": (top_q, 0, 1),
+        "last-row": (top_q + 1, 0, 1),
+        "last-column": (0, top_t + 1, -1),
+        "corner": (top_q + 1, top_t + 1, 1),
+        "below": (-1, 0, 1),
+    }[where]
+    broken = true + bi_monomial(*stray)
+    monkeypatch.setattr(sdlab.identities, "_r11_telescoped", lambda a, b: broken)
 
 
 class TestProp4:
@@ -438,20 +467,7 @@ class TestProp4:
     @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (4, 9), (7, 12), (9, 4)])
     @pytest.mark.parametrize("where", ["coefficient", "last-row", "last-column", "corner", "below"])
     def test_r_not_vacuous(self, monkeypatch, a, b, where):
-        true = _r11_telescoped(a, b)
-        top_q = max(i for i, _ in true._terms)
-        top_t = max(j for _, j in true._terms)
-        # one coefficient off, or one stray term in the row or column just past
-        # the support of R11 (q-1)(t-1), in the corner past both, or below q^0
-        stray = {
-            "coefficient": (top_q, 0, 1),
-            "last-row": (top_q + 1, 0, 1),
-            "last-column": (0, top_t + 1, -1),
-            "corner": (top_q + 1, top_t + 1, 1),
-            "below": (-1, 0, 1),
-        }[where]
-        broken = true + bi_monomial(*stray)
-        monkeypatch.setattr(sdlab.identities, "_r11_telescoped", lambda a, b: broken)
+        add_r11_stray(monkeypatch, a, b, where)
         r, _ = check_prop4(a, b)
         assert r.verdict == "fail"
 
@@ -497,13 +513,6 @@ class TestProp4:
             _, t = check_prop4(a, b)
             assert t.verdict == ("pass" if all_match else "expected-discrepancy"), (a, b)
 
-    def test_t11_count_decides_the_verdict(self, monkeypatch):
-        # at (3, 2) the counts agree; one display term more turns the verdict
-        assert check_prop4(3, 2)[1].verdict == "pass"
-        monkeypatch.setattr(sdlab.identities, "_t11_display",
-                            lambda *args: (_t11_display(*args)[0], _t11_display(*args)[1] + 1))
-        assert check_prop4(3, 2)[1].verdict == "expected-discrepancy"
-
     @pytest.mark.parametrize(
         "a, b, verdict",
         [(3, 2, "pass"), (7, 2, "pass"), (1, 2, "pass"), (1, 7, "pass"), (1, 19, "pass"),
@@ -527,8 +536,8 @@ class TestProp5:
 
     def test_modes_agree(self):
         # the exact route the checker takes and the literal geometric-kernel
-        # sum of the display (tests/oracles.py): the coefficient of q^i on
-        # the right is the gap count of class a*i mod b
+        # sum of the display (tests/reference_oracles.py): the coefficient of
+        # q^i on the right is the gap count of class a*i mod b
         for a, b in coprime_pairs(20, 1):
             assert check_prop5(a, b).verdict == "pass"
             counts = torus_semigroup(a, b).class_counts(b)
@@ -576,13 +585,13 @@ class TestProp6:
         assert check_prop6(2, 3).verdict == "pass"
 
     def test_exact_route(self):
-        # the display's right side as exact class counts (tests/oracles.py)
+        # the display's right side as exact class counts (tests/reference_oracles.py)
         for a, b in coprime_pairs(20, 1):
             assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1), (a, b)
 
     def test_modes_agree(self):
         # the float route the checker takes passes where the exact
-        # class-count form (tests/oracles.py) holds
+        # class-count form (tests/reference_oracles.py) holds
         for a, b in coprime_pairs(15, 2):
             assert prop6_class_count_form(a, b) == voronoi_sum(a, b, 1, 1)
             assert check_prop6(a, b).verdict == "pass"
@@ -606,6 +615,28 @@ class TestProp7:
                     assert check_prop7(S, d).verdict == "pass"
 
 
+def move_floor(monkeypatch, k: int, step: int) -> None:
+    """Rebuild the right side of carlitz_floor_sum from its correction
+    sum_k floor(bk/a) q^{k-1} with the floor at k moved by step; step 0
+    rebuilds it unchanged."""
+    def moved(a, b):
+        lhs, _ = carlitz_floor_sum(a, b)
+        floors = {j - 1: b * j // a for j in range(1, a)}
+        floors[k - 1] += step
+        return lhs, (b - 1) * monomial(a - 1) - (monomial(1) - 1) * LaurentPoly(floors)
+
+    monkeypatch.setattr(sdlab.identities, "carlitz_floor_sum", moved)
+
+
+def set_sawtooth_q_coeff(monkeypatch, coeff: Fraction) -> None:
+    """Give the sawtooth polynomial of (3, 5) coeff as its coefficient of q,
+    in place of 1/10."""
+    true = carlitz_sawtooth_poly(3, 5)
+    assert true.coeff(1) == Fraction(1, 10)
+    broken = true + monomial(1, coeff - Fraction(1, 10))
+    monkeypatch.setattr(sdlab.identities, "carlitz_sawtooth_poly", lambda a, b: broken)
+
+
 class TestExtraChecks:
     def test_cor510(self):
         for a, b in coprime_pairs(12, 2):
@@ -618,26 +649,69 @@ class TestExtraChecks:
     @pytest.mark.parametrize("a, b, k, step, verdict", [(5, 7, 1, 0, "pass"), (5, 7, 1, 1, "fail"), (5, 7, 4, -1, "fail"),
                                                         (7, 5, 3, 1, "fail"), (2, 9, 1, -1, "fail")])
     def test_cor510_not_vacuous(self, monkeypatch, a, b, k, step, verdict):
-        # the right side rebuilt from its correction sum_k floor(bk/a) q^{k-1}
-        # with the floor at k moved by step; step 0 rebuilds it unchanged
-        def moved(a, b):
-            lhs, _ = carlitz_floor_sum(a, b)
-            floors = {j - 1: b * j // a for j in range(1, a)}
-            floors[k - 1] += step
-            return lhs, (b - 1) * monomial(a - 1) - (monomial(1) - 1) * LaurentPoly(floors)
-
-        monkeypatch.setattr(sdlab.identities, "carlitz_floor_sum", moved)
+        move_floor(monkeypatch, k, step)
         assert check_cor510(a, b).verdict == verdict
 
-    @pytest.mark.parametrize("coeff", [Fraction(1, 5), Fraction(2, 15)], ids=["off-by-1/(2b)", "denominator-3b"])
-    def test_sawtooth_poly_not_vacuous(self, monkeypatch, coeff):
-        # the coefficient of q for (3, 5) is 1/10, which 2b = 10 scales to 1;
-        # 2/15 scales to 4/3, which truncation would take for that 1
-        true = carlitz_sawtooth_poly(3, 5)
-        assert true.coeff(1) == Fraction(1, 10)
-        broken = true + monomial(1, coeff - Fraction(1, 10))
-        monkeypatch.setattr(sdlab.identities, "carlitz_sawtooth_poly", lambda a, b: broken)
+    def test_sawtooth_poly_denominator_not_vacuous(self, monkeypatch):
+        # 2b = 10 scales 2/15 to 4/3, which truncation would take for the 1
+        # that 1/10 scales to
+        set_sawtooth_q_coeff(monkeypatch, Fraction(2, 15))
         assert check_sawtooth_poly(3, 5).verdict == "fail"
+
+
+def add_t11_display_term(monkeypatch) -> None:
+    monkeypatch.setattr(sdlab.identities, "_t11_display",
+                        lambda *args: (_t11_display(*args)[0], _t11_display(*args)[1] + 1))
+
+
+# every catalog id -> a mutation of what its row reads
+MUTATIONS = {
+    "eq1": partial(drop_member, member=8),
+    "eq6": drop_gap_7_of_3_5,
+    "prop1.eq2": drop_gap_7_of_3_5,
+    "prop1.eq3": drop_gap_7_of_3_5,
+    "prop1.eq4": drop_gap_7_of_3_5,
+    "prop1.eq5": drop_gap_7_of_3_5,
+    "prop2": drop_gap_7_of_3_5,
+    "prop3": drop_gap_7_of_3_5,
+    "prop4.R11": partial(add_r11_stray, a=3, b=5, where="coefficient"),
+    "prop4.T11": add_t11_display_term,
+    "prop5": drop_gap_7_of_3_5,
+    "gapvalues": drop_gap_7_of_3_5,
+    "prop6.eq7": drop_gap_7_of_3_5,
+    "prop7": drop_gap_7_of_3_5,
+    "cor510": partial(move_floor, k=1, step=1),
+    "sawtoothpoly": partial(set_sawtooth_q_coeff, coeff=Fraction(1, 5)),
+}
+
+
+def row_verdicts(identity_id: str, a: int, b: int) -> list:
+    """The verdicts of identity_id from its catalog row at the pair (a, b), or
+    at the pair's semigroup for a semigroup row."""
+    (row,) = [row for row in CATALOG if identity_id in row.ids]
+    if row.pair:
+        reports = row.pair(a, b)
+    else:
+        reports = row.semigroup(sdlab.identities.torus_semigroup(a, b), SuiteRanges(member_max=9, d_max=2))
+    return [r.verdict for r in reports if r.identity_id == identity_id]
+
+
+@pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+def test_every_id_can_fail(monkeypatch, root_caches, identity_id):
+    """The row of each id passes at (3, 5) and reports a fail there once its
+    mutation is in.  prop4.T11 never fails: its mutation must turn its verdict
+    instead, at (3, 2), where the term counts agree.  A new id needs an entry
+    in MUTATIONS."""
+    assert identity_id in MUTATIONS, f"{identity_id} has no mutation in MUTATIONS"
+    pair = (3, 2) if identity_id == "prop4.T11" else (3, 5)
+    before = row_verdicts(identity_id, *pair)
+    MUTATIONS[identity_id](monkeypatch)
+    after = row_verdicts(identity_id, *pair)
+    assert before and "fail" not in before
+    if identity_id == "prop4.T11":
+        assert after != before
+    else:
+        assert "fail" in after
 
 
 class TestRawBuilders:

@@ -19,7 +19,7 @@ from sdlab.dedekind import carlitz_poly, carlitz_sawtooth_poly
 from sdlab.errors import InexactDivision
 from sdlab.semigroup import alexander_closed_form, torus_semigroup
 
-from oracles import coprime_pairs, literal_class_avg, long_division, pair_gaps
+from reference_oracles import coprime_pairs, literal_class_avg, long_division, pair_gaps
 
 
 def random_poly(rng, max_terms=8, lo=-6, hi=12, cmax=9):

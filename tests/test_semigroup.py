@@ -17,7 +17,7 @@ from sdlab.semigroup import (
     torus_semigroup,
 )
 
-from oracles import (
+from reference_oracles import (
     apery_by_definition,
     closure_gaps,
     closure_members,
